@@ -265,11 +265,11 @@ def transient_block(chain, n):
     if not 0 <= n <= chain.d - 1:
         raise RangeError(f"n must be in 0..{chain.d - 1}, got {n}")
     m = np.zeros((n + 1, n + 1))
-    discrete = isinstance(chain, DiscreteChain)
+    diagonal = chain.hold if isinstance(chain, DiscreteChain) else [-g for g in chain.gamma]
     for i in range(n + 1):
         for j, x in enumerate(chain.down[i]):
             m[i, j] = x
-        m[i, i] = chain.hold[i] if discrete else -chain.gamma[i]
+        m[i, i] = diagonal[i]
         if i + 1 <= n:
             m[i, i + 1] = chain.up[i]
     return m
@@ -278,27 +278,8 @@ def transient_block(chain, n):
 def reaches_absorption(chain):
     """True iff every transient state can reach the absorbing state d.
 
-    Always true for valid chains (p_i > 0 forces an upward ladder), kept
-    as an explicit guard for future relaxations of that invariant.
+    Checks the upward ladder: a state reaches d iff every up edge above it
+    is open.  Always true for valid chains, whose constructors reject a
+    closed up edge (p_i, alpha_i <= 0) before calling this.
     """
-    d = chain.d
-    up = chain.up
-    # walk the up-edges; a state reaches d iff the whole ladder above it is open
-    reach = [False] * (d + 1)
-    reach[d] = True
-    for i in range(d - 1, -1, -1):
-        reach[i] = up[i] > 0.0 and reach[i + 1]
-    if all(reach[:d]):
-        return True
-    # a blocked ladder can still be escaped through a down jump to a reaching state
-    changed = True
-    while changed:
-        changed = False
-        for i in range(d):
-            if reach[i]:
-                continue
-            targets = [(i + 1, up[i])] + [(j, chain.down[i][j]) for j in range(i)]
-            if any(rate > 0.0 and reach[j] for j, rate in targets):
-                reach[i] = True
-                changed = True
-    return all(reach[:d])
+    return all(p > 0.0 for p in chain.up)

@@ -291,7 +291,8 @@ def run(config):
             with open(config.out, "w", encoding="utf-8") as fh:
                 fh.write(document + "\n")
     except OSError as exc:
-        print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
+        target = "stdout" if config.out is None else config.out
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 3
     return exit_code
 

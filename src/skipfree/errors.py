@@ -27,7 +27,7 @@ class RangeError(SkipFreeError):
 
 
 class ConvergenceError(SkipFreeError):
-    """Root finding failed to reach the residual target within budget."""
+    """The LAPACK eigenvalue solver did not converge on the transient block."""
 
 
 class PoleError(SkipFreeError):

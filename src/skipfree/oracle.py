@@ -187,6 +187,7 @@ def _jump_cumulatives(chain, levels):
     """Cumulative transition rows over target states 0..levels for states < levels."""
     rows = np.zeros((levels, levels + 1))
     discrete = isinstance(chain, DiscreteChain)
+    gamma = None if discrete else chain.gamma
     for i in range(levels):
         for j, x in enumerate(chain.down[i]):
             rows[i, j] = x
@@ -194,8 +195,8 @@ def _jump_cumulatives(chain, levels):
             rows[i, i] = chain.hold[i]
             rows[i, i + 1] = chain.up[i]
         else:
-            rows[i] /= chain.gamma[i]
-            rows[i, i + 1] = chain.up[i] / chain.gamma[i]
+            rows[i] /= gamma[i]
+            rows[i, i + 1] = chain.up[i] / gamma[i]
     cum = np.cumsum(rows, axis=1)
     cum[:, -1] = 1.0  # guard the roundoff edge so draws can never overflow the row
     return cum

@@ -1,11 +1,12 @@
-"""Transient-block spectra: root extraction and realness classification.
+"""Transient-block spectra: eigenvalue extraction and realness classification.
 
 The d eigenvalues of the transient block drive every closed form downstream:
 for a discrete chain they are the reciprocal roots of det(I - s P_{d-1}),
-for a continuous chain the negated roots of det(s I - Q_{d-1}).  Roots are
-located by simultaneous Aberth-Ehrlich iteration on the monic characteristic
-polynomial, with companion-matrix extraction (numpy.roots) as the fallback
-when the iteration stalls, e.g. on high-multiplicity roots.
+for a continuous chain the negated roots of det(s I - Q_{d-1}).  They are
+taken from the block itself by LAPACK, never from the denominator's
+monomial coefficients, whose roots are ill-conditioned: the symmetric
+tridiagonal solver for birth-death chains (real spectrum by construction),
+the general nonsymmetric solver otherwise.
 """
 
 import enum
@@ -13,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import continuous_charpoly_seq, discrete_charpoly_seq, poly_derivative
+from .chains import transient_block
 from .errors import ConvergenceError
 
 DEFAULT_REAL_TOL = 1e-9
-RESIDUAL_REL_TOL = 1e-9
-ABERTH_BUDGET = 1000
 
 
 class SpectrumClass(enum.Enum):
@@ -59,133 +58,6 @@ def classify(values, tol):
     return SpectrumClass.REAL_NONNEGATIVE
 
 
-def aberth_roots(monic_ascending, max_iter=ABERTH_BUDGET):
-    """All complex roots of a monic polynomial by Aberth-Ehrlich iteration.
-
-    Parameters
-    ----------
-    monic_ascending : sequence of float
-        Coefficients in ascending powers; the last entry must be 1.
-    max_iter : int
-        Iteration budget; the loop exits early once every correction is
-        below machine-scale.
-
-    Returns
-    -------
-    ndarray of complex, one entry per root (multiplicity preserved).
-    """
-    c = np.asarray(monic_ascending, dtype=float)
-    n = len(c) - 1
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    dc = np.asarray(poly_derivative(tuple(c)).coeffs)
-    radius = 1.0 + float(np.max(np.abs(c)))
-    angles = 2.0 * np.pi * (np.arange(n) + 0.35) / n  # offset breaks axis symmetry
-    z = radius * np.exp(1j * angles)
-    powers = np.arange(len(c))
-    dpowers = np.arange(len(dc))
-    for _ in range(max_iter):
-        pz = (c * z[:, None] ** powers).sum(axis=1)
-        dpz = (dc * z[:, None] ** dpowers).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = pz / dpz
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulsion = (1.0 / diff).sum(axis=1)
-            delta = ratio / (1.0 - ratio * repulsion)
-        bad = ~np.isfinite(delta)
-        if bad.any():
-            delta = np.where(bad, 1e-3 * radius * np.exp(1j * z.real), delta)
-        z = z - delta
-        if np.max(np.abs(delta)) <= 1e-15 * (1.0 + np.max(np.abs(z))):
-            break
-    return z
-
-
-def _poly_at(coeffs, z):
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _horner_batch(coeffs, z):
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _polish(c_ld, dc_ld, roots, iterations=4):
-    """Guarded Newton refinement in extended precision.
-
-    Each step is kept only if it reduces |p(z)|, so clustered roots (where
-    Newton rattles at the noise floor) are never made worse.
-    """
-    z = roots.astype(np.clongdouble)
-    best = np.abs(_horner_batch(c_ld, z))
-    for _ in range(iterations):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = _horner_batch(c_ld, z) / _horner_batch(dc_ld, z)
-        step = np.where(np.isfinite(step), step, 0.0)
-        moved = z - step
-        score = np.abs(_horner_batch(c_ld, moved))
-        improved = score < best
-        z = np.where(improved, moved, z)
-        best = np.where(improved, score, best)
-    return z
-
-
-def _reconstruction_error(c_ld, roots):
-    """Relative coefficient error of the monic polynomial expanded from roots.
-
-    Measures quality of the root multiset as a whole: a backward-stable set
-    reproduces the coefficients to working precision even when individual
-    clustered roots are ill-conditioned.  Computed in extended precision so
-    candidate sets can be ranked below double roundoff.
-    """
-    poly = np.array([1.0], dtype=np.clongdouble)
-    for r in roots:
-        poly = np.convolve(poly, np.array([-r, 1.0], dtype=np.clongdouble))
-    return float(np.max(np.abs(poly - c_ld)) / np.max(np.abs(c_ld)))
-
-
-def _char_roots(monic_ascending, residual_rel_tol=RESIDUAL_REL_TOL):
-    """Roots of the monic characteristic polynomial, quality-checked.
-
-    Aberth is the primary method and the companion matrix (numpy.roots) the
-    fallback; both candidate sets, raw and Newton-polished in extended
-    precision, compete on whole-set reconstruction error, which keeps
-    products over the spectrum accurate even when individual clustered
-    roots are ill-conditioned.  The winner must meet the per-root residual
-    target |chi(root)| <= residual_rel_tol * max|coeff|, else
-    ConvergenceError.
-    """
-    c = np.asarray(monic_ascending, dtype=float)
-    norm = float(np.max(np.abs(c)))
-    c_ld = c.astype(np.longdouble)
-    dc_ld = (np.arange(1, len(c)) * c[1:]).astype(np.longdouble)
-
-    primary = aberth_roots(c).astype(np.clongdouble)
-    fallback = np.atleast_1d(np.roots(c[::-1])).astype(np.clongdouble)
-    candidates = [
-        primary,
-        _polish(c_ld, dc_ld, primary),
-        fallback,
-        _polish(c_ld, dc_ld, fallback),
-    ]
-    roots = min(candidates, key=lambda z: _reconstruction_error(c_ld, z))
-    roots = np.asarray(roots, dtype=complex)
-
-    resid = float(np.max(np.abs(_poly_at(c, roots)), initial=0.0))
-    if resid > residual_rel_tol * norm:
-        raise ConvergenceError(
-            f"root residual {resid:.3e} above target {residual_rel_tol * norm:.3e} "
-            "after companion fallback"
-        )
-    return roots
-
-
 def _build_spectrum(values, tol):
     cls = classify(values, tol)
     if cls is not SpectrumClass.COMPLEX:
@@ -194,20 +66,36 @@ def _build_spectrum(values, tol):
     return Spectrum(values=ordered, classification=cls, tolerance_used=tol)
 
 
-def eigenvalues_discrete(chain, tol=DEFAULT_REAL_TOL):
-    """The d non-unit eigenvalues of P, i.e. the spectrum of P_{d-1}.
+def _birth_death(chain):
+    """True iff every down jump goes to the state directly below."""
+    return all(x == 0.0 for row in chain.down for x in row[:-1])
 
-    Computed as the roots of the monic characteristic polynomial obtained
-    by reversing g_{0,d}; a degree deficit of g_{0,d} below d surfaces as a
-    zero eigenvalue of matching multiplicity, with no special casing.
+
+def _block_eigenvalues(chain):
+    """Eigenvalues of the transient block P_{d-1} (resp. Q_{d-1}) by LAPACK.
+
+    A birth-death block is tridiagonal with nonnegative off-diagonal
+    products, so it is diagonally similar to the symmetric tridiagonal with
+    off-diagonal sqrt(m[i,i+1] m[i+1,i]); its spectrum is then taken by the
+    symmetric solver and is real by construction.  Every other block goes to
+    the general nonsymmetric solver.
     """
-    g = discrete_charpoly_seq(chain)[-1].coeffs
-    chi = np.zeros(chain.d + 1)
-    chi[: len(g)] = g
-    return _build_spectrum(_char_roots(chi[::-1]), tol)
+    m = transient_block(chain, chain.d - 1)
+    try:
+        if not _birth_death(chain):
+            return np.linalg.eigvals(m)
+        off = np.sqrt(np.diagonal(m, 1) * np.diagonal(m, -1))
+        sym = np.diag(np.diagonal(m)) + np.diag(off, 1) + np.diag(off, -1)
+        return np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue solver did not converge: {exc}") from exc
+
+
+def eigenvalues_discrete(chain, tol=DEFAULT_REAL_TOL):
+    """The d non-unit eigenvalues of P, i.e. the spectrum of P_{d-1}."""
+    return _build_spectrum(_block_eigenvalues(chain), tol)
 
 
 def eigenvalues_continuous(chain, tol=DEFAULT_REAL_TOL):
-    """The d non-zero eigenvalues of -Q: the negated roots of g~_{0,d}."""
-    g = np.asarray(continuous_charpoly_seq(chain)[-1].coeffs)
-    return _build_spectrum(-_char_roots(g), tol)
+    """The d non-zero eigenvalues of -Q, i.e. the negated spectrum of Q_{d-1}."""
+    return _build_spectrum(-_block_eigenvalues(chain), tol)

@@ -1,10 +1,18 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from skipfree import DistributionTable
+from skipfree import (
+    DegenerateSpectrumError,
+    DistributionTable,
+    build_law,
+    parse_chain,
+    pdf_cdf_table,
+    phase_representation,
+)
 from skipfree.cli import RunConfig, emit_table, parse_table_csv, run
 from tests.conftest import CHAIN_DIR, GOLDEN_DIR
 
@@ -127,6 +135,31 @@ def test_out_flag_writes_file(tmp_path, capsys):
                            output_format="json", out=str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["d"] == 1
+
+
+def test_closed_stdout_exits_3_naming_stdout(monkeypatch, capsys):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = run(RunConfig(command="sample", input_path=str(CHAIN_DIR / "d3_pure_birth.json"), paths=10))
+    assert code == 3
+    assert "cannot write stdout" in capsys.readouterr().err
+
+
+def test_erlang_spectrum_is_real_with_unit_phases(capsys):
+    path = CHAIN_DIR / "d3_erlang.json"
+    code, out, _ = run_cli(capsys, "spectrum", path)
+    assert code == 0
+    assert all(line.endswith(",RealNonnegative") for line in out.strip().splitlines()[1:])
+    law = build_law(parse_chain(path.read_text()))
+    assert phase_representation(law) == (1.0, 1.0, 1.0)
+    code, out, _ = run_cli(capsys, "law", path, output_format="json")
+    assert code == 0 and json.loads(out)["phase_parameters"] == [1, 1, 1]
+    # a triple rate has no partial-fraction form, so the auto route stays uniformization
+    with pytest.raises(DegenerateSpectrumError):
+        pdf_cdf_table(law, [1.0], method="partial_fractions")
 
 
 def test_emit_table_empty_support():

@@ -6,13 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skipfree import (
-    ConvergenceError,
     SpectrumClass,
     classify,
     continuous_charpoly_seq,
     discrete_charpoly_seq,
     eigenvalues_continuous,
     eigenvalues_discrete,
+    expected_hitting_times,
 )
 from skipfree.corpus import (
     desk_scale,
@@ -21,7 +21,7 @@ from skipfree.corpus import (
     random_continuous_chain,
     random_discrete_chain,
 )
-from skipfree.spectral import _char_roots, aberth_roots
+from skipfree.verify import MEAN_THRESHOLD
 
 
 def test_classify_cases():
@@ -68,17 +68,32 @@ def test_continuous_worked_spectra(rates12_pure_birth, rates11_coupled):
     assert golden.classification is SpectrumClass.REAL_NONNEGATIVE
 
 
-def test_aberth_recovers_known_roots():
-    # (x-1)(x-2)(x-3) = -6 + 11x - 6x^2 + x^3
-    roots = sorted(aberth_roots([-6.0, 11.0, -6.0, 1.0]), key=lambda z: z.real)
-    assert [r.real for r in roots] == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
-    assert max(abs(r.imag) for r in roots) < 1e-12
-
-
-def test_char_roots_residual_gate():
-    # roots +-sqrt(2) are not representable, so the residual is never zero
-    with pytest.raises(ConvergenceError):
-        _char_roots(np.array([-2.0, 0.0, 1.0]), residual_rel_tol=0.0)
+@pytest.mark.parametrize(
+    "generator, sizes",
+    [(random_birth_death_discrete, (16, 64, 256, 512)), (random_birth_death_continuous, (16, 64))],
+    ids=["discrete", "continuous"],
+)
+def test_birth_death_spectra_past_desk_scale(generator, sizes):
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for d in sizes:
+        for _ in range(5):
+            chain = generator(rng, d)
+            if not desk_scale(chain, mean_cap=1e4):
+                continue
+            discrete = chain.kind == "discrete"
+            spec = (eigenvalues_discrete if discrete else eigenvalues_continuous)(chain)
+            assert spec.classification is SpectrumClass.REAL_NONNEGATIVE
+            lam = np.array([v.real for v in spec.values])
+            if discrete:
+                assert lam.max() < 1.0
+                mean = np.sum(1.0 / (1.0 - lam))
+            else:
+                mean = np.sum(1.0 / lam)
+            expected = expected_hitting_times(chain)[0]
+            assert abs(mean - expected) <= MEAN_THRESHOLD * expected
+            checked += 1
+    assert checked >= len(sizes)
 
 
 @settings(max_examples=20, deadline=None)
