@@ -46,7 +46,7 @@ def main():
             bad = [name for name, r in reports if not r.passed]
             failures += len(bad)
             peak_name, peak = max(
-                ((name, r.max_abs_err / r.threshold) for name, r in reports),
+                ((name, r.margin) for name, r in reports),
                 key=lambda item: item[1],
             )
             for name, r in reports:

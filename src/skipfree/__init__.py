@@ -31,6 +31,7 @@ from .charpoly import (
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
+    InvariantError,
     PoleError,
     RangeError,
     RunawayPathError,

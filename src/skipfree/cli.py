@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 validation/schema failure, 2 numerical failure,
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .chains import ContinuousChain, parse_chain
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
+    InvariantError,
     PoleError,
     RangeError,
     RunawayPathError,
@@ -43,6 +44,7 @@ _NUMERIC_FAILURES = (
     TailError,
     PoleError,
     DegenerateSpectrumError,
+    InvariantError,
     SupportMismatchError,
     SingularSystemError,
     RunawayPathError,
@@ -72,6 +74,10 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
+
+
+# the optional fields' defaults, which the parser offers and config_from_args falls back on
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 def _f17(x):
@@ -209,26 +215,19 @@ def _doc_verify(reports, fmt):
                     "n_points": r.n_points,
                     "threshold": r.threshold,
                     "passed": r.passed,
+                    "margin": r.margin,
                 }
                 for name, r in reports
             ],
             indent=2,
         )
-    lines = ["check,max_abs_err,mean_err,n_points,threshold,passed"]
+    lines = ["check,max_abs_err,mean_err,n_points,threshold,passed,margin"]
     for name, r in reports:
         lines.append(
             f"{name},{_f17(r.max_abs_err)},{_f17(r.mean_err)},{r.n_points},"
-            f"{_f17(r.threshold)},{str(r.passed).lower()}"
+            f"{_f17(r.threshold)},{str(r.passed).lower()},{_f17(r.margin)}"
         )
     return "\n".join(lines)
-
-
-def _grid(config, law):
-    top = config.grid_max
-    if top is None:
-        mean, _ = law_mod.moments(law)
-        top = 5.0 * mean
-    return np.linspace(0.0, top, config.grid_points)
 
 
 def run(config):
@@ -261,7 +260,8 @@ def run(config):
         elif cmd in ("pdf", "cdf"):
             law = law_mod.build_law(chain, tol=config.tol)
             if isinstance(chain, ContinuousChain):
-                table = law_mod.pdf_cdf_table(law, _grid(config, law), method=config.method)
+                grid = law_mod.default_grid(law, config.grid_points, config.grid_max)
+                table = law_mod.pdf_cdf_table(law, grid, method=config.method)
             else:
                 table = law_mod.pmf_table(law, eps=config.eps)
             document = emit_table(table, fmt, histogram=config.histogram)
@@ -318,49 +318,42 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("input_path", help="chain-spec JSON file")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output document format (default csv)")
-        p.add_argument("--out", default=None, help="write the document to a file instead of stdout")
+        p.add_argument("--format", dest="output_format", choices=("csv", "json"),
+                       default=_DEFAULTS["output_format"],
+                       help="output document format (default %(default)s)")
+        p.add_argument("--out", default=_DEFAULTS["out"],
+                       help="write the document to a file instead of stdout")
         if name in ("spectrum", "law", "moments", "pmf", "pdf", "cdf"):
-            p.add_argument("--tol", type=float, default=DEFAULT_REAL_TOL,
+            p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
                            help="realness tolerance for spectrum classification")
         if name in ("pmf", "pdf", "cdf"):
-            p.add_argument("--eps", type=float, default=law_mod.DEFAULT_PMF_EPS,
+            p.add_argument("--eps", type=float, default=_DEFAULTS["eps"],
                            help="PMF tables extend until cumulative >= 1-eps")
             p.add_argument("--histogram", action="store_true",
                            help="append a 60-column text histogram")
         if name in ("pdf", "cdf"):
-            p.add_argument("--grid-max", type=float, default=None,
+            p.add_argument("--grid-max", type=float, default=_DEFAULTS["grid_max"],
                            help="largest grid time (default 5x the mean)")
-            p.add_argument("--grid-points", type=int, default=law_mod.DEFAULT_GRID_POINTS,
-                           help="number of grid points (default 200)")
+            p.add_argument("--grid-points", type=int, default=_DEFAULTS["grid_points"],
+                           help="number of grid points (default %(default)s)")
             p.add_argument("--method", choices=("auto", "partial_fractions", "uniformization"),
-                           default="auto", help="density evaluation route")
+                           default=_DEFAULTS["method"], help="density evaluation route")
         if name in ("sample", "verify"):
-            p.add_argument("--seed", type=int, default=2023, help="random seed")
+            p.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
+                           help="random seed (default %(default)s)")
         if name == "sample":
-            p.add_argument("--paths", type=int, default=10000, help="number of trajectories")
-            p.add_argument("--start", type=int, default=0, help="initial state")
+            p.add_argument("--paths", type=int, default=_DEFAULTS["paths"],
+                           help="number of trajectories (default %(default)s)")
+            p.add_argument("--start", dest="start_state", metavar="START", type=int,
+                           default=_DEFAULTS["start_state"], help="initial state")
     return parser
 
 
 def config_from_args(args):
+    """The RunConfig of parsed arguments; options a command lacks keep their defaults."""
     ns = vars(args)
-    return RunConfig(
-        command=ns["command"],
-        input_path=ns["input_path"],
-        output_format=ns.get("format", "csv"),
-        out=ns.get("out"),
-        eps=ns.get("eps", law_mod.DEFAULT_PMF_EPS),
-        tol=ns.get("tol", DEFAULT_REAL_TOL),
-        grid_max=ns.get("grid_max"),
-        grid_points=ns.get("grid_points", law_mod.DEFAULT_GRID_POINTS),
-        method=ns.get("method", "auto"),
-        seed=ns.get("seed", 2023),
-        paths=ns.get("paths", 10000),
-        start_state=ns.get("start", 0),
-        histogram=ns.get("histogram", False),
-    )
+    options = {name: ns[name] for name in _DEFAULTS.keys() & ns.keys()}
+    return RunConfig(command=ns["command"], input_path=ns["input_path"], **options)
 
 
 def main(argv=None):

@@ -26,6 +26,15 @@ class RangeError(SkipFreeError):
     """Index argument outside its documented bounds."""
 
 
+class InvariantError(SkipFreeError):
+    """A law invariant failed in floating point on a chain that passed validation.
+
+    The chain is valid; the numbers computed from it are not accurate
+    enough to satisfy the identity (for example denom(0) against the
+    product of up-rates), so this is a numerical failure, not bad input.
+    """
+
+
 class ConvergenceError(SkipFreeError):
     """The LAPACK eigenvalue solver did not converge on the transient block."""
 

@@ -28,7 +28,7 @@ from .charpoly import (
     poly_derivative,
     poly_eval,
 )
-from .errors import DegenerateSpectrumError, PoleError, TailError, ValidationError
+from .errors import DegenerateSpectrumError, InvariantError, PoleError, TailError
 from .spectral import (
     DEFAULT_REAL_TOL,
     Spectrum,
@@ -94,18 +94,18 @@ def build_law(chain, tol=DEFAULT_REAL_TOL):
 
     Discrete laws must have denom(0) = 1 and denom(1) equal to the leading
     constant (the transform is 1 at s=1); continuous laws must be monic with
-    denom(0) equal to the leading constant.  A violation means the charpoly
-    and spectral stages disagree and raises ValidationError.
+    denom(0) equal to the leading constant.  The chain itself is already
+    valid, so a violation is a numerical failure and raises InvariantError.
     """
     if isinstance(chain, DiscreteChain):
         denom = discrete_charpoly_seq(chain)[-1]
         leading = math.prod(chain.up)
         spectrum = eigenvalues_discrete(chain, tol)
         if denom.coeffs[0] != 1.0:
-            raise ValidationError(f"denominator constant term is {denom.coeffs[0]!r}, not 1")
+            raise InvariantError(f"denominator constant term is {denom.coeffs[0]!r}, not 1")
         at_one = poly_eval(denom, 1.0)
         if abs(at_one - leading) > 1e-10 * max(1.0, abs(leading)):
-            raise ValidationError(
+            raise InvariantError(
                 f"denom(1)={at_one!r} does not match up-probability product {leading!r}"
             )
         law = HittingLaw("discrete", chain.d, leading, denom, spectrum, source=chain)
@@ -114,10 +114,10 @@ def build_law(chain, tol=DEFAULT_REAL_TOL):
         leading = math.prod(chain.up)
         spectrum = eigenvalues_continuous(chain, tol)
         if denom.degree != chain.d or denom.coeffs[-1] != 1.0:
-            raise ValidationError("denominator is not monic of degree d")
+            raise InvariantError("denominator is not monic of degree d")
         at_zero = poly_eval(denom, 0.0)
         if abs(at_zero - leading) > 1e-10 * abs(leading):
-            raise ValidationError(
+            raise InvariantError(
                 f"denom(0)={at_zero!r} does not match up-rate product {leading!r}"
             )
         law = HittingLaw("continuous", chain.d, leading, denom, spectrum, source=chain)
@@ -243,10 +243,14 @@ def _distinct_real_positive(spectrum):
     return True
 
 
-def default_grid(law, points=DEFAULT_GRID_POINTS):
-    """Evaluation grid for continuous tables: ``points`` values on [0, 5*mean]."""
-    mean, _ = moments(law)
-    return np.linspace(0.0, 5.0 * mean, points)
+def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
+    """Evaluation grid for continuous tables: ``points`` values on [0, grid_max].
+
+    ``grid_max`` defaults to five times the mean absorption time.
+    """
+    if grid_max is None:
+        grid_max = 5.0 * moments(law)[0]
+    return np.linspace(0.0, grid_max, points)
 
 
 def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
@@ -298,13 +302,9 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
         if law.source is None:
             raise ValueError("uniformization needs the law's source chain")
         chain = law.source
-        alpha_last = chain.up[chain.d - 1]
-        density = np.empty(grid.size)
-        cdf = np.empty(grid.size)
-        for i, t in enumerate(grid):
-            occupancy = transient_profile(chain, t, tol)
-            density[i] = alpha_last * occupancy[-1]
-            cdf[i] = 1.0 - occupancy.sum()
+        occupancy = transient_profile(chain, grid, tol)
+        density = chain.up[chain.d - 1] * occupancy[:, -1]
+        cdf = 1.0 - occupancy.sum(axis=1)
 
     tail = max(0.0, 1.0 - float(cdf[-1]))
     return DistributionTable(

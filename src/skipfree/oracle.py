@@ -6,10 +6,17 @@ enumeration, uniformization of the generator, explicit convolution of phase
 components, and Monte Carlo simulation.  The comparators at the bottom turn
 pairs of tables into pass/fail reports.
 
-Randomness contract: samplers draw from numpy's Philox counter-based bit
-generator keyed by ``SamplerConfig.seed``; draws are consumed in wave order
-(one synchronized step for every active path per wave), so a given
-(seed, paths, start_state) triple yields the same samples on any platform.
+Randomness contract, stream version 2: samplers draw from numpy's Philox
+counter-based bit generator keyed by ``SamplerConfig.seed``, consuming draws
+in wave order, so a given (seed, paths, start_state) triple yields the same
+samples on any platform.  A wave is one jump for every live path, in path
+order: every live path first draws one standard exponential E, which a
+continuous path in state i scales to its holding time E / gamma_i and a
+discrete one turns into its whole hold run, the Geometric(1 - r_i) step
+count 1 + floor(E / -log r_i); then every live path draws one uniform that
+picks its jump target.  Version 1 spent one wave per discrete step, holds
+included; continuous chains consume the same draws in the same order under
+both versions.
 """
 
 import math
@@ -27,6 +34,7 @@ from .errors import (
 from .law import DistributionTable
 
 PATH_STEP_CAP = 10**9
+UNIFORMIZATION_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,11 @@ class ComparisonReport:
     n_points: int
     passed: bool
     threshold: float
+
+    @property
+    def margin(self):
+        """max_abs_err / threshold: below 1 passes, and how close it came."""
+        return self.max_abs_err / self.threshold
 
 
 def report_from_errors(errors, threshold):
@@ -128,78 +141,108 @@ def pmf_by_path_enumeration(chain, n_max):
     )
 
 
-def _poisson_weights(mu, tol):
-    """Poisson(mu) weights w_0..w_K with total mass >= 1 - tol.
+def _poisson_weights(mus, ks):
+    """Poisson(mu) probabilities w_k(mu), one row per mu in ``mus``, one column per k in ``ks``.
 
-    Built outward from the mode so that no intermediate underflows for
-    large mu; entries far below the mode may round to zero harmlessly.
+    Each weight is evaluated as exp(k log mu - mu - log k!), not by the
+    recurrence from w_0 = exp(-mu), which underflows once mu passes about
+    745 (the hazard Fox & Glynn 1988 work around); weights far from the
+    mode round to zero harmlessly.
     """
-    if mu == 0.0:
-        return np.array([1.0])
-    mode = int(mu)
-    log_mode = mode * math.log(mu) - mu - math.lgamma(mode + 1)
-    below = np.empty(mode + 1)
-    below[mode] = math.exp(log_mode)
-    for k in range(mode, 0, -1):
-        below[k - 1] = below[k] * k / mu
-    weights = list(below)
-    total = float(below.sum())
-    k = mode
-    w = below[mode]
-    while total < 1.0 - tol:
-        k += 1
-        w = w * mu / k
-        weights.append(w)
-        total += w
-    return np.asarray(weights)
+    mus = np.asarray(mus, dtype=float)[:, None]
+    ks = np.asarray(ks)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in ks])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_mu = np.where(ks > 0, ks * np.log(mus), 0.0)  # w_0(0) = 1
+    return np.exp(k_log_mu - mus - log_factorial)
+
+
+def _poisson_truncation(mu, tol):
+    """Smallest K with P(Poisson(mu) <= K) >= 1 - tol.
+
+    Bernstein's bound P(X >= mu + x) <= exp(-x^2 / (2 (mu + x/3))) caps the
+    search, so it ends even when rounding keeps the summed weights short of
+    1 - tol.
+    """
+    log_tol = -math.log(tol)
+    top = math.ceil(mu + log_tol / 3.0 + math.sqrt(log_tol**2 / 9.0 + 2.0 * mu * log_tol))
+    mass = np.cumsum(_poisson_weights([mu], np.arange(top + 1))[0])
+    return min(int(np.searchsorted(mass, 1.0 - tol)), top)
 
 
 def transient_profile(chain, t, tol=1e-10):
     """Occupancy of the transient states at time t, by uniformization.
 
-    Returns the vector e_0^T exp(Q_{d-1} t) with entrywise truncation error
-    at most ``tol``: exp(Q t) is expanded as a Poisson(Lambda*t) mixture of
-    powers of the substochastic matrix I + Q/Lambda with Lambda = max gamma_i.
+    ``t`` is a scalar or a 1-D array of times.  Returns e_0^T exp(Q_{d-1} t),
+    of shape (d,) for a scalar and (len(t), d) for an array, every entry
+    within ``tol`` of the exact value.  exp(Q t) is expanded as a
+    Poisson(Lambda*t) mixture of the powers v_k = e_0 (I + Q/Lambda)^k of
+    the substochastic matrix I + Q/Lambda, Lambda = max gamma_i (Jensen
+    1953).  The powers do not depend on t, so one pass up to the truncation
+    point of the largest time serves every time; it runs in blocks of
+    UNIFORMIZATION_BLOCK powers, so neither all the powers nor all the
+    weights are held at once.
     """
     if not isinstance(chain, ContinuousChain):
         raise TypeError("transient_profile needs a continuous chain")
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0,1), got {tol}")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array of times")
+    grid = np.atleast_1d(times)
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     rate = max(chain.gamma)
     onestep = np.eye(chain.d) + transient_block(chain, chain.d - 1) / rate
-    weights = _poisson_weights(rate * t, tol)
+    mus = rate * grid
+    last = _poisson_truncation(float(mus.max()), tol)
+    occupancy = np.zeros((grid.size, chain.d))
     v = np.zeros(chain.d)
     v[0] = 1.0
-    acc = np.zeros(chain.d)
-    for i, w in enumerate(weights):
-        acc += w * v
-        if i < len(weights) - 1:
+    for start in range(0, last + 1, UNIFORMIZATION_BLOCK):
+        ks = np.arange(start, min(start + UNIFORMIZATION_BLOCK, last + 1))
+        powers = np.empty((ks.size, chain.d))
+        for j in range(ks.size):
+            powers[j] = v
             v = v @ onestep
-    return acc
+        occupancy += _poisson_weights(mus, ks) @ powers
+    return occupancy if times.ndim else occupancy[0]
 
 
 def cdf_by_uniformization(chain, t, tol=1e-10):
-    """P(tau <= t) with absolute error at most ``tol``, via uniformization."""
-    return 1.0 - float(transient_profile(chain, t, tol).sum())
+    """P(tau <= t) within ``tol``, via uniformization.
+
+    ``t`` is a scalar (returns a float) or a 1-D array of times (returns an
+    array), as for :func:`transient_profile`.
+    """
+    return 1.0 - transient_profile(chain, t, tol).sum(axis=-1)
 
 
-def _jump_cumulatives(chain, levels):
-    """Cumulative transition rows over target states 0..levels for states < levels."""
+def _jump_keys(chain, levels):
+    """Jump totals and sorted target-search keys for the states below ``levels``.
+
+    A state's jump total is p_i + sum_j q_ij (discrete, equal to 1 - r_i
+    but exact when r_i is near 1) or gamma_i (continuous).  Row i of the
+    keys holds the cumulative jump probabilities over targets 0..levels,
+    offset by 2i so that the rows fill disjoint intervals [2i, 2i+1] of one
+    sorted array: a path in state i that draws u jumps to the number of
+    row-i keys below 2i + u, one ``searchsorted`` for every path at once.
+    """
+    totals = np.array([chain.up[i] + math.fsum(chain.down[i]) for i in range(levels)])
     rows = np.zeros((levels, levels + 1))
-    discrete = isinstance(chain, DiscreteChain)
-    gamma = None if discrete else chain.gamma
     for i in range(levels):
-        for j, x in enumerate(chain.down[i]):
-            rows[i, j] = x
-        if discrete:
-            rows[i, i] = chain.hold[i]
-            rows[i, i + 1] = chain.up[i]
-        else:
-            rows[i] /= gamma[i]
-            rows[i, i + 1] = chain.up[i] / gamma[i]
+        rows[i, :i] = chain.down[i]
+        rows[i, i + 1] = chain.up[i]
+        rows[i] /= totals[i]
     cum = np.cumsum(rows, axis=1)
-    cum[:, -1] = 1.0  # guard the roundoff edge so draws can never overflow the row
-    return cum
+    state = np.arange(levels)[:, None]
+    # the up jump closes each row at exactly 1, so no draw can pass it
+    cum[np.arange(levels + 1) > state] = 1.0
+    # leading impossible targets sit below the row, out of reach even when
+    # 2i + u rounds down to 2i
+    cum[cum == 0.0] = -0.5
+    return totals, (cum + 2 * state).ravel()
 
 
 def sample_hitting_times(chain, cfg, stop_level=None):
@@ -207,10 +250,12 @@ def sample_hitting_times(chain, cfg, stop_level=None):
 
     Simulates ``cfg.paths`` independent trajectories from ``cfg.start_state``
     until they first reach ``stop_level`` (default: the absorbing state d).
-    Discrete chains return step counts (int64); continuous chains return
-    elapsed times (float64), accumulating Exponential(gamma_i) holds between
-    jumps.  Deterministic given ``cfg.seed``; see the module docstring for
-    the stream contract.
+    Discrete chains return step counts (int64), drawing each hold run in
+    state i as one Geometric(1 - r_i) count of steps; continuous chains
+    return elapsed times (float64), accumulating Exponential(gamma_i) holds
+    between jumps.  Deterministic given ``cfg.seed``; see the module
+    docstring for the stream contract.  Raises RunawayPathError once a path
+    needs more than PATH_STEP_CAP steps.
     """
     target = chain.d if stop_level is None else int(stop_level)
     if not 1 <= target <= chain.d:
@@ -220,33 +265,38 @@ def sample_hitting_times(chain, cfg, stop_level=None):
             f"start_state must be in 0..{target - 1}, got {cfg.start_state}"
         )
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    cum = _jump_cumulatives(chain, target)
+    totals, keys = _jump_keys(chain, target)
+    width = target + 1
     discrete = isinstance(chain, DiscreteChain)
-    scales = None if discrete else 1.0 / np.asarray(chain.gamma[:target])
-
-    live = np.arange(cfg.paths)
-    state = np.full(cfg.paths, cfg.start_state, dtype=np.intp)
     if discrete:
-        result = np.zeros(cfg.paths, dtype=np.int64)
+        # hold run 1 + floor(E / -log r_i) is Geometric(1 - r_i) for E ~ Exp(1)
+        with np.errstate(divide="ignore"):
+            hold_rate = -np.log1p(-totals)
     else:
-        result = np.zeros(cfg.paths, dtype=np.float64)
-        clock = np.zeros(cfg.paths)
+        scales = 1.0 / totals
+
+    # live paths only, compacted after every wave: original index, state, clock
+    index = np.arange(cfg.paths)
+    state = np.full(cfg.paths, cfg.start_state, dtype=np.intp)
+    clock = np.zeros(cfg.paths)  # steps are integers far below 2**53
+    result = np.zeros(cfg.paths, dtype=np.int64 if discrete else np.float64)
     wave = 0
-    while live.size:
+    while index.size:
         wave += 1
-        if wave > PATH_STEP_CAP:
-            raise RunawayPathError(f"a path exceeded {PATH_STEP_CAP} steps")
-        if not discrete:
-            clock[live] += rng.exponential(scales[state])
-        draws = rng.random(live.size)
-        nxt = (cum[state] < draws[:, None]).sum(axis=1)
-        hit = nxt == target
+        holds = rng.standard_exponential(index.size)
         if discrete:
-            result[live[hit]] = wave
+            clock += np.floor(holds / hold_rate[state]) + 1.0
         else:
-            result[live[hit]] = clock[live[hit]]
-        live = live[~hit]
-        state = nxt[~hit]
+            clock += holds * scales[state]
+        if (clock.max() if discrete else wave) > PATH_STEP_CAP:
+            raise RunawayPathError(f"a path exceeded {PATH_STEP_CAP} steps")
+        draws = rng.random(index.size)
+        state = keys.searchsorted(draws + 2 * state) - width * state
+        hit = state == target
+        if hit.any():
+            result[index[hit]] = clock[hit]
+            live = ~hit
+            index, state, clock = index[live], state[live], clock[live]
     return result
 
 

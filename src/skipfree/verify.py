@@ -20,6 +20,7 @@ from .charpoly import (
 from .law import (
     NotApplicable,
     build_law,
+    default_grid,
     laplace,
     pdf_cdf_table,
     pgf,
@@ -124,17 +125,13 @@ def verification_reports(chain, seed=0, s_points=20):
         reports.append(
             ("eigen_product_identity", report_from_errors([abs(prod_id)], PRODUCT_THRESHOLD))
         )
-        mean, _ = moments(law)
-        grid = np.linspace(0.0, 5.0 * mean, 50)
+        grid = default_grid(law, 50)
         try:
             closed = pdf_cdf_table(law, grid, method="partial_fractions")
         except DegenerateSpectrumError:
             closed = None
         if closed is not None:
-            errs = [
-                closed.cumulative[i] - cdf_by_uniformization(chain, t, tol=1e-10)
-                for i, t in enumerate(grid)
-            ]
+            errs = np.asarray(closed.cumulative) - cdf_by_uniformization(chain, grid, tol=1e-10)
             reports.append(
                 ("cdf_vs_uniformization", report_from_errors(errs, CDF_THRESHOLD))
             )

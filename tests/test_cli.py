@@ -12,7 +12,9 @@ from skipfree import (
     parse_chain,
     pdf_cdf_table,
     phase_representation,
+    serialize_chain,
 )
+from skipfree.corpus import random_continuous_chain
 from skipfree.cli import RunConfig, emit_table, parse_table_csv, run
 from tests.conftest import CHAIN_DIR, GOLDEN_DIR
 
@@ -124,9 +126,35 @@ def test_verify_examples_exit_0(capsys):
     for name in ("d1_geometric.json", "d2_mixed.json", "d2_coupled_rates.json", "d3_erlang.json"):
         code, out, err = run_cli(capsys, "verify", CHAIN_DIR / name)
         assert code == 0, f"{name}: {err}"
-        rows = out.strip().splitlines()
-        assert rows[0].startswith("check,")
-        assert all(row.endswith("true") for row in rows[1:])
+        rows = [row.split(",") for row in out.strip().splitlines()]
+        assert rows[0] == ["check", "max_abs_err", "mean_err", "n_points", "threshold",
+                           "passed", "margin"]
+        for _, err, _, _, threshold, passed, margin in rows[1:]:
+            assert passed == "true"
+            assert float(margin) == float(err) / float(threshold)
+    code, out, _ = run_cli(capsys, "verify", CHAIN_DIR / "d2_mixed.json", output_format="json")
+    for report in json.loads(out):
+        assert list(report)[-1] == "margin"
+        assert report["margin"] == report["max_abs_err"] / report["threshold"] < 1.0
+
+
+def test_invariant_failure_on_valid_chain_exits_2(tmp_path, capsys):
+    # a valid chain whose monomial denom(0) misses the up-rate product by 0.2%
+    chain = random_continuous_chain(np.random.default_rng(1), 24)
+    path = tmp_path / "d24.json"
+    path.write_text(serialize_chain(chain))
+    code, out, err = run_cli(capsys, "spectrum", path)
+    assert code == 2 and out == ""
+    assert "numerical failure" in err and "denom(0)" in err
+
+
+def test_parser_defaults_are_run_config_defaults():
+    from skipfree.cli import COMMANDS, build_parser, config_from_args
+
+    parser = build_parser()
+    for command in COMMANDS:
+        config = config_from_args(parser.parse_args([command, "chain.json"]))
+        assert config == RunConfig(command=command, input_path="chain.json")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

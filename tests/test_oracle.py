@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipfree import (
+    ContinuousChain,
+    DiscreteChain,
     DistributionTable,
     RangeError,
+    RunawayPathError,
     SamplerConfig,
     SupportMismatchError,
     cdf_by_uniformization,
@@ -20,8 +23,13 @@ from skipfree import (
     sample_hitting_times,
     transient_profile,
 )
-from skipfree.corpus import random_continuous_chain, random_discrete_chain
-from skipfree.oracle import _poisson_weights
+from skipfree.chains import transient_block
+from skipfree.corpus import (
+    random_birth_death_discrete,
+    random_continuous_chain,
+    random_discrete_chain,
+)
+from skipfree.oracle import _poisson_truncation, _poisson_weights
 
 
 def test_matrix_power_geometric(d1_geometric):
@@ -47,11 +55,11 @@ def test_path_enumeration_matches_matrix_power(d2_mixed):
 
 
 def test_poisson_weights_sum_and_shape():
-    w = _poisson_weights(7.3, 1e-12)
+    w = _poisson_weights([7.3], np.arange(_poisson_truncation(7.3, 1e-12) + 1))[0]
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.argmax(w) == 7  # mode of Poisson(7.3)
-    # large rate: mode-centered recurrence must not underflow to nothing
-    big = _poisson_weights(2000.0, 1e-10)
+    # large rate: w_0 = exp(-2000) underflows, the weights near the mode must not
+    big = _poisson_weights([2000.0], np.arange(_poisson_truncation(2000.0, 1e-10) + 1))[0]
     assert big.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -68,16 +76,46 @@ def test_uniformization_pure_birth(rates12_pure_birth):
 
 
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), t=st.floats(0.0, 8.0))
-def test_uniformization_matches_expm(seed, d, t):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    times=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=6),
+)
+def test_uniformization_matches_expm(seed, d, times):
     from scipy.linalg import expm
 
-    from skipfree.chains import transient_block
-
+    grid = np.array(sorted([0.0] + times))
     chain = random_continuous_chain(np.random.default_rng(seed), d)
-    profile = transient_profile(chain, t, tol=1e-12)
-    dense = expm(transient_block(chain, d - 1) * t)[0]
-    assert np.max(np.abs(profile - dense)) <= 1e-9
+    profiles = transient_profile(chain, grid, tol=1e-12)
+    assert profiles.shape == (grid.size, d)
+    block = transient_block(chain, d - 1)
+    for t, profile in zip(grid, profiles):
+        assert np.max(np.abs(profile - expm(block * t)[0])) <= 1e-9
+        # the scalar form truncates at its own time, the grid at the largest
+        assert np.max(np.abs(profile - transient_profile(chain, t, tol=1e-12))) <= 2e-12
+    cdf = cdf_by_uniformization(chain, grid, tol=1e-12)
+    assert np.array_equal(cdf, 1.0 - profiles.sum(axis=1))
+
+
+def test_uniformization_past_weight_underflow():
+    from scipy.linalg import expm
+
+    # state 1 falls back to 0 at rate 400, so Lambda * t passes 2000 while
+    # most of the mass is still transient and exp(-Lambda * t) underflows
+    chain = ContinuousChain(d=3, up=[1.0, 1.0, 0.5], down=[[], [400.0], [0.0, 0.0]])
+    grid = np.array([0.0, 1.0, 6.0])
+    assert max(chain.gamma) * grid[-1] >= 2000.0
+    profiles = transient_profile(chain, grid, tol=1e-12)
+    block = transient_block(chain, chain.d - 1)
+    dense = np.array([expm(block * t)[0] for t in grid])
+    assert np.max(np.abs(profiles - dense)) <= 1e-9
+    assert profiles[-1].sum() > 0.5
+
+
+def test_uniformization_rejects_bad_times(rate2_single):
+    for bad in (-1.0, [0.0, np.nan], [[1.0]], []):
+        with pytest.raises(ValueError):
+            transient_profile(rate2_single, bad)
 
 
 def test_sampler_is_deterministic(d2_mixed):
@@ -104,6 +142,62 @@ def test_sampler_continuous_mean(rates12_pure_birth):
     se = math.sqrt(1.25 / 50_000)
     assert abs(samples.mean() - 1.5) <= 4 * se
     assert samples.dtype == np.float64
+
+
+def test_continuous_stream_matches_wave_reference():
+    # stream version 2 keeps the continuous draws of version 1: per wave one
+    # exponential hold, then one uniform, for every live path in path order
+    chain = random_continuous_chain(np.random.default_rng(5), 4)
+    cfg = SamplerConfig(seed=8, paths=2000)
+    d = chain.d
+    gamma = np.asarray(chain.gamma)
+    rows = np.zeros((d, d + 1))
+    for i in range(d):
+        rows[i, :i] = chain.down[i]
+        rows[i, i + 1] = chain.up[i]
+        rows[i] /= gamma[i]
+    cum = np.cumsum(rows, axis=1)
+    cum[:, -1] = 1.0
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    live = np.arange(cfg.paths)
+    state = np.zeros(cfg.paths, dtype=np.intp)
+    clock = np.zeros(cfg.paths)
+    expected = np.zeros(cfg.paths)
+    while live.size:
+        clock[live] += rng.exponential(1.0 / gamma[state])
+        nxt = (cum[state] < rng.random(live.size)[:, None]).sum(axis=1)
+        hit = nxt == d
+        expected[live[hit]] = clock[live[hit]]
+        live, state = live[~hit], nxt[~hit]
+    assert np.array_equal(sample_hitting_times(chain, cfg), expected)
+
+
+# statistical test: the seeds are pinned, never searched, to respect the 1% level
+def test_sampler_matches_exact_law_lazy_birth_death():
+    chain = random_birth_death_discrete(np.random.default_rng(404), 5)
+    paths = 100_000
+    samples = np.sort(sample_hitting_times(chain, SamplerConfig(seed=405, paths=paths)))
+    exact = pmf_by_matrix_power(chain, int(samples[-1]))
+    empirical = np.searchsorted(samples, exact.support, side="right") / paths
+    # one-sample KS at 1%; conservative for a discrete law
+    critical = math.sqrt(-math.log(0.01 / 2.0) / 2.0) / math.sqrt(paths)
+    assert np.max(np.abs(empirical - np.asarray(exact.cumulative))) < critical
+
+
+def test_step_cap_counts_steps_not_waves(monkeypatch, d3_pure_birth):
+    import skipfree.oracle as oracle
+
+    # every path of this chain is one hold run, so it absorbs in one wave
+    # however many steps it takes; 0.9**20 of the paths need over 20 steps
+    chain = DiscreteChain(d=1, hold=[0.9], up=[0.1])
+    monkeypatch.setattr(oracle, "PATH_STEP_CAP", 20)
+    with pytest.raises(RunawayPathError):
+        sample_hitting_times(chain, SamplerConfig(seed=0, paths=1000))
+    monkeypatch.setattr(oracle, "PATH_STEP_CAP", 3)
+    assert np.all(sample_hitting_times(d3_pure_birth, SamplerConfig(seed=0, paths=10)) == 3)
+    monkeypatch.setattr(oracle, "PATH_STEP_CAP", 2)
+    with pytest.raises(RunawayPathError):
+        sample_hitting_times(d3_pure_birth, SamplerConfig(seed=0, paths=10))
 
 
 def test_sampler_start_state(d2_mixed):
