@@ -222,8 +222,9 @@ def cdf_by_uniformization(chain, t, tol=1e-10):
 def _jump_keys(chain, levels):
     """Jump totals and sorted target-search keys for the states below ``levels``.
 
-    A state's jump total is p_i + sum_j q_ij (discrete, equal to 1 - r_i
-    but exact when r_i is near 1) or gamma_i (continuous).  Row i of the
+    A state's jump total is p_i + sum_j q_ij (discrete: 1 - r_i within the
+    row-sum tolerance, and exact when r_i is near 1, but it may exceed 1 by
+    that tolerance) or gamma_i (continuous).  Row i of the
     keys holds the cumulative jump probabilities over targets 0..levels,
     offset by 2i so that the rows fill disjoint intervals [2i, 2i+1] of one
     sorted array: a path in state i that draws u jumps to the number of
@@ -269,9 +270,10 @@ def sample_hitting_times(chain, cfg, stop_level=None):
     width = target + 1
     discrete = isinstance(chain, DiscreteChain)
     if discrete:
-        # hold run 1 + floor(E / -log r_i) is Geometric(1 - r_i) for E ~ Exp(1)
+        # hold run 1 + floor(E / -log r_i) is Geometric(1 - r_i) for E ~ Exp(1);
+        # a total at or above 1 means no hold: an infinite rate, one step
         with np.errstate(divide="ignore"):
-            hold_rate = -np.log1p(-totals)
+            hold_rate = -np.log1p(-np.minimum(totals, 1.0))
     else:
         scales = 1.0 / totals
 

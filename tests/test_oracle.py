@@ -184,6 +184,17 @@ def test_sampler_matches_exact_law_lazy_birth_death():
     assert np.max(np.abs(empirical - np.asarray(exact.cumulative))) < critical
 
 
+def test_sampler_row_sum_over_one_without_hold():
+    # row 1 has no hold and sums to 1 + 1e-13, inside the row-sum tolerance:
+    # its jump total exceeds 1, and every visit must still take one step
+    chain = DiscreteChain(d=2, hold=[0.5, 0.0], up=[0.5, 0.4], down=[[], [0.6000000000001]])
+    samples = sample_hitting_times(chain, SamplerConfig(seed=12, paths=50_000))
+    assert samples.dtype == np.int64
+    assert samples.min() >= 2
+    mean = expected_hitting_times(chain)[0]
+    assert abs(samples.mean() - mean) <= 4 * math.sqrt(samples.var() / samples.size)
+
+
 def test_step_cap_counts_steps_not_waves(monkeypatch, d3_pure_birth):
     import skipfree.oracle as oracle
 
