@@ -1,8 +1,11 @@
 """Regenerate the golden CSV tables in tests/golden/.
 
-Each golden is cross-checked against the matrix-power oracle before being
-written, so a regression in the analytic pipeline cannot silently refresh
-the goldens with bad values.
+Each table is cross-checked against two oracles before it is written: the
+step-by-step matrix-power iteration and the PGF's power series.  A gap above
+GOLDEN_GAP to either refuses the write, so a regression in the PMF engine
+cannot silently refresh the goldens with bad values.
+
+Run from the repository root: ``PYTHONPATH=src python scripts/make_goldens.py``.
 """
 
 import pathlib
@@ -10,10 +13,11 @@ import sys
 
 import numpy as np
 
-from skipfree import build_law, parse_chain, pmf_by_matrix_power, pmf_table
+from skipfree import build_law, parse_chain, pgf_coefficients, pmf_by_matrix_power, pmf_table
 from skipfree.cli import emit_table
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN_GAP = 1e-12
 
 GOLDENS = {
     "d1_geometric_pmf.csv": "d1_geometric.json",
@@ -21,21 +25,31 @@ GOLDENS = {
 }
 
 
+def checked_table(chain_name):
+    """The chain's PMF table, or exit if either oracle disagrees with it."""
+    chain = parse_chain((REPO / "chains" / chain_name).read_text())
+    law = build_law(chain)
+    table = pmf_table(law)
+    masses = np.asarray(table.mass_or_density)
+    oracles = {
+        "matrix power": pmf_by_matrix_power(chain, masses.size).mass_or_density,
+        "PGF series": pgf_coefficients(law, masses.size),
+    }
+    gaps = {name: float(np.max(np.abs(masses - np.asarray(o)))) for name, o in oracles.items()}
+    for name, gap in gaps.items():
+        if not gap <= GOLDEN_GAP:
+            sys.exit(f"{chain_name}: table/{name} gap {gap:.3e}; refusing to write goldens")
+    return table, ", ".join(f"{name} gap {gap:.2e}" for name, gap in gaps.items())
+
+
 def main():
+    checked = {golden: checked_table(chain) for golden, chain in GOLDENS.items()}
     out_dir = REPO / "tests" / "golden"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for golden_name, chain_name in GOLDENS.items():
-        chain = parse_chain((REPO / "chains" / chain_name).read_text())
-        table = pmf_table(build_law(chain))
-        oracle = pmf_by_matrix_power(chain, len(table.support))
-        gap = np.max(
-            np.abs(np.asarray(table.mass_or_density) - np.asarray(oracle.mass_or_density))
-        )
-        if gap > 1e-12:
-            sys.exit(f"{chain_name}: analytic/oracle gap {gap:.3e}; refusing to write golden")
+    for golden_name, (table, gaps) in checked.items():
         path = out_dir / golden_name
         path.write_text(emit_table(table, "csv") + "\n")
-        print(f"wrote {path} ({len(table.support)} rows, oracle gap {gap:.2e})")
+        print(f"wrote {path} ({len(table.support)} rows, {gaps})")
 
 
 if __name__ == "__main__":

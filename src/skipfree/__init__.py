@@ -22,11 +22,8 @@ from .charpoly import (
     continuous_charpoly_seq,
     direct_determinant,
     discrete_charpoly_seq,
-    poly_add,
     poly_derivative,
     poly_eval,
-    poly_mul,
-    poly_scale,
 )
 from .errors import (
     ConvergenceError,
@@ -51,6 +48,7 @@ from .law import (
     moments,
     pdf_cdf_table,
     pgf,
+    pgf_coefficients,
     phase_representation,
     pmf_table,
 )

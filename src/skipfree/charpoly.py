@@ -44,25 +44,6 @@ def _coeffs(p):
     return p.coeffs if isinstance(p, Polynomial) else Polynomial(tuple(p)).coeffs
 
 
-def poly_add(a, b):
-    ca, cb = _coeffs(a), _coeffs(b)
-    n = max(len(ca), len(cb))
-    out = [0.0] * n
-    for i, x in enumerate(ca):
-        out[i] += x
-    for i, x in enumerate(cb):
-        out[i] += x
-    return Polynomial(tuple(out))
-
-
-def poly_scale(a, c):
-    return Polynomial(tuple(float(c) * x for x in _coeffs(a)))
-
-
-def poly_mul(a, b):
-    return Polynomial(tuple(np.convolve(_coeffs(a), _coeffs(b))))
-
-
 def poly_eval(a, x):
     """Evaluate at a real or complex point by Horner's scheme."""
     acc = 0.0

@@ -10,17 +10,23 @@ for a continuous chain the Laplace transform
     phi(s) = alpha_0...alpha_{d-1} / det(s I_{d-1} - Q_{d-1}).
 
 The rational form (leading constant over the recurrence's denominator
-polynomial) is the authoritative evaluator everywhere; the eigenvalue
-product form and the geometric/exponential phase representation are
-verification surfaces layered on top of it.
+polynomial) is the authoritative evaluator of the transforms and the
+discrete moments.  The discrete PMF comes from the transient block instead:
+vector iteration in blocks of PMF_BLOCK powers, whose products are all of
+nonnegative numbers, with the exact mass left in the transient states as
+its tail bound; the power series of the rational form is its oracle
+(:func:`pgf_coefficients`).  The eigenvalue product form and the
+geometric/exponential phase representation are verification surfaces
+layered on top.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import ContinuousChain, DiscreteChain
+from .chains import ContinuousChain, DiscreteChain, transient_block
 from .charpoly import (
     Polynomial,
     continuous_charpoly_seq,
@@ -42,6 +48,7 @@ DEFAULT_PMF_EPS = 1e-12
 DEFAULT_GRID_POINTS = 200
 PF_MIN_RELATIVE_GAP = 1e-6
 MAX_PMF_TERMS = 1_000_000
+PMF_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,9 @@ class HittingLaw:
     spectrum : Spectrum
         Transient-block eigenvalues with realness classification.
     source : chain, optional
-        The chain the law was built from; needed only by the
-        uniformization route of :func:`pdf_cdf_table`.
+        The chain the law was built from; needed by :func:`pmf_table`, which
+        iterates its transient block, and by the uniformization route of
+        :func:`pdf_cdf_table`.
     """
 
     kind: str
@@ -152,74 +160,105 @@ def laplace(law, s):
     return law.leading / _denom_at(law, s)
 
 
+def _pmf_panel(block, exit_prob):
+    """The block route's set-up, by doubling: (panel, P^PMF_BLOCK).
+
+    Column j of the panel's left half is P^j e_{d-1} p_{d-1}, column j of its
+    right half is P^{j+1} 1, for j < PMF_BLOCK; so for any row vector v the
+    product v @ panel holds the next PMF_BLOCK masses and the transient mass
+    left after each of those steps.
+    """
+    d = block.shape[0]
+    panel = np.zeros((d, 2, PMF_BLOCK))  # [:, 0, j] exit column j, [:, 1, j] remainder
+    panel[-1, 0, 0] = exit_prob
+    panel[:, 1, 0] = block.sum(axis=1)
+    power = block
+    width = 1
+    while width < PMF_BLOCK:
+        shifted = power @ panel[:, :, :width].reshape(d, 2 * width)
+        panel[:, :, width : 2 * width] = shifted.reshape(d, 2, width)
+        power = power @ power
+        width *= 2
+    return panel.reshape(d, 2 * PMF_BLOCK), power
+
+
 def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
-    """Exact absorption-time PMF by power-series inversion of the PGF.
+    """Exact absorption-time PMF by vector iteration on the transient block.
 
-    The series coefficients of leading * s^d / denom(s) obey the linear
-    recurrence a_d = leading, a_n = -sum_k denom_k a_{n-k} for n > d (valid
-    because denom(0) = 1), costing O(d) per term.  The table extends until
-    the cumulative mass reaches 1 - eps.
+    With v_0 = e_0 and v_n = v_{n-1} P_{d-1}, the mass P(tau = n) is
+    v_{n-1}[d-1] p_{d-1} and the mass left in the transient states after step
+    n is v_n . 1.  The iteration runs in blocks of PMF_BLOCK steps: each
+    block is two vector-matrix products, v @ panel for the block's masses and
+    remaining masses (see :func:`_pmf_panel`) and v @ P^PMF_BLOCK for the
+    next block's start.  Every product is of nonnegative numbers, so nothing
+    cancels.
 
-    The reported tail bound is the geometric envelope K * rho^n fitted to
-    the last 10 terms with rho = max|lambda_i| + 1e-6, capped by the exact
-    remaining mass 1 - cumulative so that finite-support laws report a zero
-    tail.
-
-    An ``eps`` below the double accumulation floor (about 1e-13) saturates
-    there: the table stops once further terms can no longer move the
-    cumulative sum, which still leaves every mass-balance invariant intact.
+    The table stops at the first n whose transient mass left is <= eps, and
+    that mass, the exact remainder 1 - sum of the masses up to rounding, is
+    the reported tail bound.
 
     Raises
     ------
+    ValueError
+        If the law has no source chain, or eps is not in (0, 1).
     TailError
-        If max|lambda_i| >= 1 (no geometric tail) or the table would exceed
-        ``max_terms``.
+        If the table would exceed ``max_terms``.
     """
     if law.kind != "discrete":
         raise ValueError("pmf_table is defined for discrete laws only")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    rho_spectral = max((abs(v) for v in law.spectrum.values), default=0.0)
-    if rho_spectral >= 1.0:
-        raise TailError(f"spectral radius {rho_spectral} >= 1; tail mass cannot be bounded")
-    rho = rho_spectral + 1e-6
+    if law.source is None:
+        raise ValueError("pmf_table needs the law's source chain")
+    chain = law.source
+    panel, power = _pmf_panel(transient_block(chain, chain.d - 1), chain.up[chain.d - 1])
+    v = np.zeros(chain.d)
+    v[0] = 1.0
+    blocks = []
+    for start in range(0, max_terms, PMF_BLOCK):
+        out = v @ panel
+        done = np.flatnonzero(out[PMF_BLOCK:] <= eps)
+        if done.size:
+            stop = int(done[0]) + 1
+            if start + stop > max_terms:
+                break
+            masses = np.concatenate(blocks + [out[:stop]])
+            return DistributionTable(
+                support=tuple(range(1, masses.size + 1)),
+                mass_or_density=tuple(masses.tolist()),
+                cumulative=tuple(np.cumsum(masses).tolist()),
+                tail_bound=float(out[PMF_BLOCK + stop - 1]),
+            )
+        blocks.append(out[:PMF_BLOCK])
+        v = v @ power
+    raise TailError(f"PMF table exceeded {max_terms} terms before the mass left fell to {eps}")
 
+
+def pgf_coefficients(law, n_max):
+    """Taylor coefficients a_1..a_{n_max} of the rational PGF.
+
+    The series of leading * s^d / denom(s) obeys the linear recurrence
+    a_n = 0 for n < d, a_d = leading, a_n = -sum_k denom_k a_{n-k} for n > d
+    (valid because denom(0) = 1), O(d) per term.  This is the oracle for
+    :func:`pmf_table`: it reaches the masses from the monomial coefficients
+    of denom, not from the block, and its alternating sums cancel once those
+    coefficients grow, so it has no stop rule of its own.
+    """
+    if law.kind != "discrete":
+        raise ValueError("pgf_coefficients is defined for discrete laws only")
     g = law.denom.coeffs
     d = law.d
-    masses = []
-    cum = 0.0
-    n = 0
-    while cum < 1.0 - eps:
-        n += 1
-        if n > max_terms:
-            raise TailError(f"PMF table exceeded {max_terms} terms at cumulative {cum}")
+    coeffs = []
+    for n in range(1, n_max + 1):
         if n < d:
             a_n = 0.0
         elif n == d:
             a_n = law.leading
         else:
-            a_n = -sum(g[k] * masses[n - k - 1] for k in range(1, min(len(g), n - d + 1)))
-        masses.append(a_n)
-        if n > d:
-            if a_n != 0.0 and cum + a_n == cum:
-                break  # accumulation floor: the sum can no longer move
-            if all(m == 0.0 for m in masses[-len(g) :]):
-                break  # series terminated exactly
-        cum += a_n
-
-    window = masses[-10:]
-    offset = len(masses) - len(window)
-    envelope = max(
-        (a / rho ** (offset + j + 1) for j, a in enumerate(window) if a > 0.0), default=0.0
-    )
-    tail = envelope * rho ** (len(masses) + 1) / (1.0 - rho)
-    tail = min(tail, max(0.0, 1.0 - cum))
-    return DistributionTable(
-        support=tuple(range(1, len(masses) + 1)),
-        mass_or_density=tuple(masses),
-        cumulative=tuple(np.cumsum(masses)),
-        tail_bound=tail,
-    )
+            k_end = min(len(g), n - d + 1)
+            a_n = -sum(map(operator.mul, g[1:k_end], reversed(coeffs[n - k_end : n - 1])))
+        coeffs.append(a_n)
+    return np.array(coeffs, dtype=float)
 
 
 def _partial_fraction_weights(rates):

@@ -8,11 +8,8 @@ from skipfree import (
     continuous_charpoly_seq,
     direct_determinant,
     discrete_charpoly_seq,
-    poly_add,
     poly_derivative,
     poly_eval,
-    poly_mul,
-    poly_scale,
     transient_block,
 )
 from skipfree.corpus import random_continuous_chain, random_discrete_chain
@@ -30,21 +27,8 @@ def test_polynomial_trims_exact_trailing_zeros_only():
 
 
 def test_poly_ops_worked_values():
-    assert poly_mul([1, -0.5], [1, -0.3]).coeffs == pytest.approx((1.0, -0.8, 0.15))
     assert poly_eval([1, -0.5, -0.18], 1.0) == pytest.approx(0.32)
     assert poly_derivative([1, -0.5, -0.18]).coeffs == (-0.5, -0.36)
-    assert poly_add([1, 2], [0, 0, 3]).coeffs == (1.0, 2.0, 3.0)
-    assert poly_scale([1, -2], -0.5).coeffs == (-0.5, 1.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=coeff_lists, b=coeff_lists, x=st.floats(-2, 2))
-def test_poly_ring_semantics_at_points(a, b, x):
-    total = poly_eval(poly_add(a, b), x)
-    assert total == pytest.approx(poly_eval(a, x) + poly_eval(b, x), rel=1e-9, abs=1e-9)
-    prod = poly_eval(poly_mul(a, b), x)
-    direct = poly_eval(a, x) * poly_eval(b, x)
-    assert prod == pytest.approx(direct, rel=1e-9, abs=1e-6)
 
 
 @settings(max_examples=40, deadline=None)

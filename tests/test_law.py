@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skipfree import (
+    ContinuousChain,
     DegenerateSpectrumError,
     NotApplicable,
     PoleError,
-    Spectrum,
     SpectrumClass,
     TailError,
     build_law,
@@ -17,18 +18,24 @@ from skipfree import (
     geometric_sum_pmf,
     laplace,
     moments,
+    parse_chain,
     pdf_cdf_table,
     pgf,
+    pgf_coefficients,
     phase_representation,
+    pmf_by_matrix_power,
     pmf_table,
+    transient_block,
 )
+from skipfree.cli import parse_table_csv
 from skipfree.corpus import (
     desk_scale,
     random_birth_death_discrete,
     random_continuous_chain,
     random_discrete_chain,
 )
-from skipfree.law import HittingLaw
+from skipfree.law import PMF_BLOCK, HittingLaw
+from tests.conftest import CHAIN_DIR, GOLDEN_DIR
 
 
 def test_build_law_worked_values(d1_geometric, d2_mixed, rates12_pure_birth):
@@ -96,17 +103,95 @@ def test_pmf_eps_validation(d1_geometric):
         pmf_table(build_law(d1_geometric), eps=0.0)
 
 
-def test_pmf_tail_error_on_unit_radius(d1_geometric):
+def test_pmf_tail_error_past_max_terms(d1_geometric):
     law = build_law(d1_geometric)
-    rigged = HittingLaw(
-        kind=law.kind,
-        d=law.d,
-        leading=law.leading,
-        denom=law.denom,
-        spectrum=Spectrum((1.0 + 0j,), SpectrumClass.REAL_NONNEGATIVE, 1e-9),
-    )
+    assert len(pmf_table(law).support) == 40  # 0.5^40 <= 1e-12 < 0.5^39
     with pytest.raises(TailError):
-        pmf_table(rigged)
+        pmf_table(law, max_terms=10)
+    assert len(pmf_table(law, max_terms=40).support) == 40
+
+
+def test_pmf_needs_the_source_chain(d1_geometric):
+    law = build_law(d1_geometric)
+    sourceless = HittingLaw(law.kind, law.d, law.leading, law.denom, law.spectrum)
+    with pytest.raises(ValueError, match="source"):
+        pmf_table(sourceless)
+
+
+def _step_oracle_length(chain, eps):
+    """First n whose transient mass left, by one v @ P per step, is <= eps."""
+    block = transient_block(chain, chain.d - 1)
+    v = np.zeros(chain.d)
+    v[0] = 1.0
+    n = 0
+    while True:
+        n += 1
+        v = v @ block
+        if v.sum() <= eps:
+            return n, v.sum()
+
+
+@pytest.mark.parametrize("length", [PMF_BLOCK - 1, PMF_BLOCK, PMF_BLOCK + 1, 3 * PMF_BLOCK])
+@pytest.mark.parametrize("name", ["d1_geometric", "d2_mixed"])
+def test_pmf_stops_at_block_edges(request, name, length):
+    chain = request.getfixturevalue(name)
+    block = transient_block(chain, chain.d - 1)
+    row = np.linalg.matrix_power(block, length - 1)[0]
+    # the geometric mean of the masses left at n - 1 and n
+    eps = math.sqrt(row.sum()) * math.sqrt((row @ block).sum())
+    table = pmf_table(build_law(chain), eps=eps)
+    n, left = _step_oracle_length(chain, eps)
+    assert len(table.support) == n == length
+    assert table.tail_bound == pytest.approx(left, rel=1e-12)
+    steps = pmf_by_matrix_power(chain, n).mass_or_density
+    assert np.max(np.abs(np.subtract(table.mass_or_density, steps))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(8, 13))
+def test_pmf_exact_where_the_series_fails(d):
+    # lazy birth-death chains on which the monomial series missed up to 4e-8
+    # of a mass and 7e-7 of the total
+    for seed in (0, 1, 2):
+        chain = random_birth_death_discrete(np.random.default_rng(seed), d)
+        assert desk_scale(chain)
+        table = pmf_table(build_law(chain))
+        masses = np.asarray(table.mass_or_density)
+        steps = np.asarray(pmf_by_matrix_power(chain, masses.size).mass_or_density)
+        assert np.max(np.abs(masses - steps)) <= 1e-15
+        assert abs(1.0 - math.fsum(masses) - table.tail_bound) <= 1e-14
+        assert 0.0 <= table.tail_bound <= 1e-12
+
+
+def _exact_pmf(chain, n_max):
+    """P(tau = n), n = 1..n_max, by vector iteration in exact rationals."""
+    block = [[Fraction(x) for x in row] for row in transient_block(chain, chain.d - 1).tolist()]
+    exit_prob = Fraction(chain.up[-1])
+    v = [Fraction(1)] + [Fraction(0)] * (chain.d - 1)
+    masses = []
+    for _ in range(n_max):
+        masses.append(v[-1] * exit_prob)
+        v = [sum(v[i] * block[i][j] for i in range(chain.d)) for j in range(chain.d)]
+    return masses
+
+
+@pytest.mark.parametrize("name", ["d1_geometric", "d2_mixed"])
+def test_goldens_against_exact_rational_iteration(name):
+    chain = parse_chain((CHAIN_DIR / f"{name}.json").read_text())
+    golden = parse_table_csv((GOLDEN_DIR / f"{name}_pmf.csv").read_text())
+    exact = _exact_pmf(chain, len(golden.support))
+    for got, want in zip(golden.mass_or_density, exact):
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**15) * want
+
+
+def test_pgf_coefficients_worked_values(d1_geometric, d2_mixed, d3_pure_birth):
+    assert pgf_coefficients(build_law(d1_geometric), 3).tolist() == [0.5, 0.25, 0.125]
+    # oracle: exhaustive path enumeration to length 4
+    assert pgf_coefficients(build_law(d2_mixed), 4) == pytest.approx(
+        [0.0, 0.32, 0.16, 0.1376], rel=1e-12
+    )
+    assert pgf_coefficients(build_law(d3_pure_birth), 5).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        pgf_coefficients(build_law(ContinuousChain(d=1, up=[2.0])), 3)
 
 
 @settings(max_examples=25, deadline=None)
