@@ -265,13 +265,11 @@ def transient_block(chain, n):
     if not 0 <= n <= chain.d - 1:
         raise RangeError(f"n must be in 0..{chain.d - 1}, got {n}")
     m = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        m[i, :i] = chain.down[i]
     diagonal = chain.hold if isinstance(chain, DiscreteChain) else [-g for g in chain.gamma]
-    for i in range(n + 1):
-        for j, x in enumerate(chain.down[i]):
-            m[i, j] = x
-        m[i, i] = diagonal[i]
-        if i + 1 <= n:
-            m[i, i + 1] = chain.up[i]
+    m.flat[:: n + 2] = diagonal[: n + 1]
+    m.flat[1 :: n + 2] = chain.up[:n]
     return m
 
 

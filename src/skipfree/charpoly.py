@@ -136,16 +136,24 @@ def continuous_charpoly_seq(chain):
 def direct_determinant(matrix, s, kind):
     """Dense-determinant oracle: det(I - s M) or det(s I - M).
 
-    Uses LU factorization with partial pivoting on the materialized matrix;
-    this is the brute-force cross-check for the recurrences above and is
+    ``s`` is a scalar (returns a float) or a 1-D array of points (returns an
+    array): the matrices of all the points are stacked and factored in one
+    ``np.linalg.det`` call, by LU with partial pivoting on each.  This is
+    the brute-force cross-check for the recurrences above and is
     deliberately independent of them.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    points = np.asarray(s, dtype=float)
+    if points.ndim > 1:
+        raise ValueError("s must be a scalar or a 1-D array of points")
+    stacked = np.atleast_1d(points)[:, None, None]
     eye = np.eye(m.shape[0])
     if kind == "discrete":
-        return float(np.linalg.det(eye - s * m))
-    if kind == "continuous":
-        return float(np.linalg.det(s * eye - m))
-    raise ValueError(f'kind must be "discrete" or "continuous", got {kind!r}')
+        dets = np.linalg.det(eye - stacked * m)
+    elif kind == "continuous":
+        dets = np.linalg.det(stacked * eye - m)
+    else:
+        raise ValueError(f'kind must be "discrete" or "continuous", got {kind!r}')
+    return dets if points.ndim else float(dets[0])

@@ -22,8 +22,8 @@ class ValidationError(SkipFreeError):
         self.residual = residual
 
 
-class RangeError(SkipFreeError):
-    """Index argument outside its documented bounds."""
+class RangeError(SkipFreeError, ValueError):
+    """Argument outside its documented range: an index, a tolerance, a count or a grid."""
 
 
 class InvariantError(SkipFreeError):

@@ -34,7 +34,13 @@ from .charpoly import (
     poly_derivative,
     poly_eval,
 )
-from .errors import DegenerateSpectrumError, InvariantError, PoleError, TailError
+from .errors import (
+    DegenerateSpectrumError,
+    InvariantError,
+    PoleError,
+    RangeError,
+    TailError,
+)
 from .spectral import (
     DEFAULT_REAL_TOL,
     Spectrum,
@@ -200,14 +206,16 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
     Raises
     ------
     ValueError
-        If the law has no source chain, or eps is not in (0, 1).
+        If the law has no source chain.
+    RangeError
+        If eps is not in (0, 1).
     TailError
         If the table would exceed ``max_terms``.
     """
     if law.kind != "discrete":
         raise ValueError("pmf_table is defined for discrete laws only")
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
+        raise RangeError(f"eps must be in (0,1), got {eps}")
     if law.source is None:
         raise ValueError("pmf_table needs the law's source chain")
     chain = law.source
@@ -285,8 +293,11 @@ def _distinct_real_positive(spectrum):
 def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
     """Evaluation grid for continuous tables: ``points`` values on [0, grid_max].
 
-    ``grid_max`` defaults to five times the mean absorption time.
+    ``grid_max`` defaults to five times the mean absorption time.  Raises
+    RangeError if ``points`` is below 1.
     """
+    if points < 1:
+        raise RangeError(f"grid points must be >= 1, got {points}")
     if grid_max is None:
         grid_max = 5.0 * moments(law)[0]
     return np.linspace(0.0, grid_max, points)
@@ -308,6 +319,8 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
     ------
     DegenerateSpectrumError
         If partial_fractions is forced on a near-repeated spectrum.
+    RangeError
+        If the grid is empty, unsorted or negative.
     """
     if law.kind != "continuous":
         raise ValueError("pdf_cdf_table is defined for continuous laws only")
@@ -317,7 +330,7 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
         grid = default_grid(law)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0.0) or np.any(np.diff(grid) < 0.0):
-        raise ValueError("grid must be nonempty, sorted and nonnegative")
+        raise RangeError("grid must be nonempty, sorted and nonnegative")
 
     separable = _distinct_real_positive(law.spectrum)
     if method == "partial_fractions" and not separable:

@@ -16,7 +16,10 @@ discrete one turns into its whole hold run, the Geometric(1 - r_i) step
 count 1 + floor(E / -log r_i); then every live path draws one uniform that
 picks its jump target.  Version 1 spent one wave per discrete step, holds
 included; continuous chains consume the same draws in the same order under
-both versions.
+both versions.  How a uniform is mapped to its target is not part of the
+stream: a guide table (Chen & Asau 1974) answers most draws with one
+lookup, and the answer is always the one a binary search of the
+cumulative jump probabilities gives (see :func:`_guide_table`).
 """
 
 import math
@@ -35,6 +38,7 @@ from .law import DistributionTable
 
 PATH_STEP_CAP = 10**9
 UNIFORMIZATION_BLOCK = 256
+GUIDE_BUCKETS = 1024  # a power of two, so that u * GUIDE_BUCKETS is exact
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.paths < 1:
-            raise ValueError(f"paths must be >= 1, got {self.paths}")
+            raise RangeError(f"paths must be >= 1, got {self.paths}")
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,12 @@ def transient_profile(chain, t, tol=1e-10):
     Poisson(Lambda*t) mixture of the powers v_k = e_0 (I + Q/Lambda)^k of
     the substochastic matrix I + Q/Lambda, Lambda = max gamma_i (Jensen
     1953).  The powers do not depend on t, so one pass up to the truncation
-    point of the largest time serves every time; it runs in blocks of
-    UNIFORMIZATION_BLOCK powers, so neither all the powers nor all the
-    weights are held at once.
+    point K of the largest time serves every time.  It runs in blocks of
+    min(UNIFORMIZATION_BLOCK, the least power of two above K) powers, so
+    neither all the powers nor all the weights are held at once.  The first
+    block is filled by doubling, v_{w..2w-1} = v_{0..w-1} M^w with M^w
+    squared after each step; each next block is the last one times M^w for
+    the block's width w.  Every product is of nonnegative numbers.
     """
     if not isinstance(chain, ContinuousChain):
         raise TypeError("transient_profile needs a continuous chain")
@@ -197,16 +204,21 @@ def transient_profile(chain, t, tol=1e-10):
     onestep = np.eye(chain.d) + transient_block(chain, chain.d - 1) / rate
     mus = rate * grid
     last = _poisson_truncation(float(mus.max()), tol)
+    width = min(UNIFORMIZATION_BLOCK, 1 << last.bit_length())
+    powers = np.zeros((width, chain.d))
+    powers[0, 0] = 1.0
+    stride = onestep  # M^filled
+    filled = 1
+    while filled < width:
+        powers[filled : 2 * filled] = powers[:filled] @ stride
+        stride = stride @ stride
+        filled *= 2
     occupancy = np.zeros((grid.size, chain.d))
-    v = np.zeros(chain.d)
-    v[0] = 1.0
-    for start in range(0, last + 1, UNIFORMIZATION_BLOCK):
-        ks = np.arange(start, min(start + UNIFORMIZATION_BLOCK, last + 1))
-        powers = np.empty((ks.size, chain.d))
-        for j in range(ks.size):
-            powers[j] = v
-            v = v @ onestep
-        occupancy += _poisson_weights(mus, ks) @ powers
+    for start in range(0, last + 1, width):
+        ks = np.arange(start, min(start + width, last + 1))
+        if start:
+            powers = powers[: ks.size] @ stride
+        occupancy += _poisson_weights(mus, ks) @ powers[: ks.size]
     return occupancy if times.ndim else occupancy[0]
 
 
@@ -228,7 +240,8 @@ def _jump_keys(chain, levels):
     keys holds the cumulative jump probabilities over targets 0..levels,
     offset by 2i so that the rows fill disjoint intervals [2i, 2i+1] of one
     sorted array: a path in state i that draws u jumps to the number of
-    row-i keys below 2i + u, one ``searchsorted`` for every path at once.
+    row-i keys below 2i + u, one ``searchsorted`` for every path at once;
+    :func:`_guide_table` gives that number without the search for most u.
     """
     totals = np.array([chain.up[i] + math.fsum(chain.down[i]) for i in range(levels)])
     rows = np.zeros((levels, levels + 1))
@@ -244,6 +257,25 @@ def _jump_keys(chain, levels):
     # 2i + u rounds down to 2i
     cum[cum == 0.0] = -0.5
     return totals, (cum + 2 * state).ravel()
+
+
+def _guide_table(keys, levels):
+    """Exact guide table over the sorted keys of :func:`_jump_keys`.
+
+    Entry i * GUIDE_BUCKETS + b covers the draws u in bucket
+    [b/M, (b+1)/M), M = GUIDE_BUCKETS, of a path in state i.  It is the
+    number of row-i keys below 2i + b/M when no key lies in the closed
+    interval [2i + b/M, 2i + (b+1)/M], and -1 otherwise.  The edges are
+    exact doubles and fl(u + 2i) is monotone in u, so for every u in a
+    bucket without a key the entry is the target that ``searchsorted`` of
+    2i + u would give; only the -1 buckets need the search.
+    """
+    width = levels + 1
+    edges = 2.0 * np.arange(levels)[:, None] + np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    below = keys.searchsorted(edges[:, :-1].ravel(), side="left")
+    upto = keys.searchsorted(edges[:, 1:].ravel(), side="right")
+    rows = np.repeat(np.arange(levels) * width, GUIDE_BUCKETS)
+    return np.where(below == upto, below - rows, -1)
 
 
 def sample_hitting_times(chain, cfg, stop_level=None):
@@ -267,6 +299,7 @@ def sample_hitting_times(chain, cfg, stop_level=None):
         )
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     totals, keys = _jump_keys(chain, target)
+    table = _guide_table(keys, target)
     width = target + 1
     discrete = isinstance(chain, DiscreteChain)
     if discrete:
@@ -293,12 +326,19 @@ def sample_hitting_times(chain, cfg, stop_level=None):
         if (clock.max() if discrete else wave) > PATH_STEP_CAP:
             raise RunawayPathError(f"a path exceeded {PATH_STEP_CAP} steps")
         draws = rng.random(index.size)
-        state = keys.searchsorted(draws + 2 * state) - width * state
+        bucket = (draws * GUIDE_BUCKETS).astype(np.intp)
+        nxt = table[state * GUIDE_BUCKETS + bucket]
+        (miss,) = (nxt < 0).nonzero()
+        if miss.size:
+            from_state = state[miss]
+            nxt[miss] = keys.searchsorted(draws[miss] + 2 * from_state) - width * from_state
+        state = nxt
         hit = state == target
-        if hit.any():
-            result[index[hit]] = clock[hit]
-            live = ~hit
-            index, state, clock = index[live], state[live], clock[live]
+        (done,) = hit.nonzero()
+        if done.size:
+            result[index[done]] = clock[done]
+            (keep,) = (~hit).nonzero()
+            index, state, clock = index[keep], state[keep], clock[keep]
     return result
 
 

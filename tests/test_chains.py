@@ -107,6 +107,25 @@ def test_transient_block_values(d1_geometric, d2_mixed):
     assert transient_block(chain, 1).tolist() == [[-1.0, 1.0], [0.0, -2.0]]
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
+@pytest.mark.parametrize("make", [random_discrete_chain, random_continuous_chain])
+def test_transient_block_equals_per_entry_reference(make, d):
+    chain = make(np.random.default_rng(d), d)
+    if isinstance(chain, DiscreteChain):
+        diagonal = chain.hold
+    else:
+        diagonal = [-g for g in chain.gamma]
+    for n in range(d):
+        expected = np.zeros((n + 1, n + 1))
+        for i in range(n + 1):
+            for j, x in enumerate(chain.down[i]):
+                expected[i, j] = x
+            expected[i, i] = diagonal[i]
+            if i < n:
+                expected[i, i + 1] = chain.up[i]
+        assert np.array_equal(transient_block(chain, n), expected)
+
+
 def test_transient_block_range(d2_mixed):
     with pytest.raises(RangeError):
         transient_block(d2_mixed, 2)

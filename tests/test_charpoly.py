@@ -74,6 +74,20 @@ def test_direct_determinant_values(d2_mixed):
         direct_determinant([[1, 2, 3]], 1.0, "discrete")
 
 
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_direct_determinant_over_points_equals_scalar_calls(kind):
+    rng = np.random.default_rng(9)
+    make = random_discrete_chain if kind == "discrete" else random_continuous_chain
+    block = transient_block(make(rng, 6), 5)
+    points = rng.uniform(-1.0, 5.0, size=17)
+    batched = direct_determinant(block, points, kind)
+    assert batched.shape == points.shape
+    assert np.array_equal(batched, [direct_determinant(block, s, kind) for s in points])
+    assert isinstance(direct_determinant(block, points[0], kind), float)
+    with pytest.raises(ValueError):
+        direct_determinant(block, points.reshape(1, -1), kind)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 10))
 def test_discrete_recurrence_agrees_with_determinants(seed, d):

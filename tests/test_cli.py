@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import skipfree
 from skipfree import (
     DegenerateSpectrumError,
     DistributionTable,
@@ -213,6 +217,28 @@ def test_csv_round_trip_is_exact():
     assert back.support == table.support
     assert back.mass_or_density == table.mass_or_density
     assert back.cumulative == table.cumulative
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["pmf", "d1_geometric.json", "--eps", "0"], "eps must be in (0,1)"),
+        (["pmf", "d1_geometric.json", "--eps", "2"], "eps must be in (0,1)"),
+        (["sample", "d1_geometric.json", "--paths", "0"], "paths must be >= 1"),
+        (["pdf", "d2_coupled_rates.json", "--grid-points", "0"], "grid points must be >= 1"),
+        (["pdf", "d2_coupled_rates.json", "--grid-max", "-1"], "grid must be nonempty"),
+    ],
+)
+def test_option_out_of_range_exits_1_without_traceback(argv, message):
+    argv = [argv[0], str(CHAIN_DIR / argv[1])] + argv[2:]
+    src = pathlib.Path(skipfree.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "skipfree.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: invalid input: {message}")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_run_config_rejects_unknown_command():

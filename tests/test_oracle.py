@@ -25,11 +25,18 @@ from skipfree import (
 )
 from skipfree.chains import transient_block
 from skipfree.corpus import (
+    random_birth_death_continuous,
     random_birth_death_discrete,
     random_continuous_chain,
     random_discrete_chain,
 )
-from skipfree.oracle import _poisson_truncation, _poisson_weights
+from skipfree.oracle import (
+    GUIDE_BUCKETS,
+    _guide_table,
+    _jump_keys,
+    _poisson_truncation,
+    _poisson_weights,
+)
 
 
 def test_matrix_power_geometric(d1_geometric):
@@ -170,6 +177,74 @@ def test_continuous_stream_matches_wave_reference():
         expected[live[hit]] = clock[live[hit]]
         live, state = live[~hit], nxt[~hit]
     assert np.array_equal(sample_hitting_times(chain, cfg), expected)
+
+
+def _searchsorted_waves(chain, cfg, target):
+    # stream version 2 with every jump target found by a binary search
+    totals, keys = _jump_keys(chain, target)
+    discrete = isinstance(chain, DiscreteChain)
+    with np.errstate(divide="ignore"):
+        hold_rate = -np.log1p(-np.minimum(totals, 1.0))
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    live = np.arange(cfg.paths)
+    state = np.full(cfg.paths, cfg.start_state)
+    clock = np.zeros(cfg.paths)
+    expected = np.zeros(cfg.paths, dtype=np.int64 if discrete else np.float64)
+    while live.size:
+        holds = rng.standard_exponential(live.size)
+        if discrete:
+            clock[live] += np.floor(holds / hold_rate[state]) + 1.0
+        else:
+            clock[live] += holds * (1.0 / totals)[state]
+        nxt = keys.searchsorted(rng.random(live.size) + 2 * state) - (target + 1) * state
+        hit = nxt == target
+        expected[live[hit]] = clock[live[hit]]
+        live, state = live[~hit], nxt[~hit]
+    return expected
+
+
+GUIDE_CASES = {
+    "general discrete d=5": (lambda: random_discrete_chain(np.random.default_rng(21), 5), 0, None),
+    "lazy birth-death discrete d=12": (
+        lambda: random_birth_death_discrete(np.random.default_rng(22), 12), 0, None),
+    "general continuous d=5": (
+        lambda: random_continuous_chain(np.random.default_rng(23), 5), 0, None),
+    "birth-death continuous d=8": (
+        lambda: random_birth_death_continuous(np.random.default_rng(24), 8), 0, None),
+    "row sum above 1": (
+        lambda: DiscreteChain(d=2, hold=[0.5, 0.0], up=[0.5, 0.4], down=[[], [0.6000000000001]]),
+        0, None),
+    "stop below d from state 2": (
+        lambda: random_discrete_chain(np.random.default_rng(25), 6), 2, 4),
+    "d=1": (lambda: DiscreteChain(d=1, hold=[0.7], up=[0.3]), 0, None),
+}
+
+
+@pytest.mark.parametrize("case", list(GUIDE_CASES))
+def test_guide_table_samples_equal_searchsorted_waves(case):
+    make, start, stop = GUIDE_CASES[case]
+    chain = make()
+    cfg = SamplerConfig(seed=31, paths=3000, start_state=start)
+    got = sample_hitting_times(chain, cfg, stop_level=stop)
+    expected = _searchsorted_waves(chain, cfg, chain.d if stop is None else stop)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("case", list(GUIDE_CASES))
+def test_guide_table_entries_are_searchsorted_at_bucket_ends(case):
+    make, _, stop = GUIDE_CASES[case]
+    chain = make()
+    levels = chain.d if stop is None else stop
+    _, keys = _jump_keys(chain, levels)
+    table = _guide_table(keys, levels).reshape(levels, GUIDE_BUCKETS)
+    state, bucket = np.nonzero(table >= 0)
+    assert state.size > 0.9 * table.size
+    lowest = bucket / GUIDE_BUCKETS
+    highest = np.nextafter((bucket + 1) / GUIDE_BUCKETS, 0.0)
+    for u in (lowest, highest):
+        found = keys.searchsorted(u + 2 * state) - (levels + 1) * state
+        assert np.array_equal(table[state, bucket], found)
 
 
 # statistical test: the seeds are pinned, never searched, to respect the 1% level
