@@ -22,7 +22,6 @@ from .charpoly import (
     continuous_charpoly_seq,
     direct_determinant,
     discrete_charpoly_seq,
-    poly_derivative,
     poly_eval,
 )
 from .errors import (

@@ -52,13 +52,6 @@ def poly_eval(a, x):
     return acc
 
 
-def poly_derivative(a):
-    c = _coeffs(a)
-    if len(c) == 1:
-        return Polynomial((0.0,))
-    return Polynomial(tuple(k * c[k] for k in range(1, len(c))))
-
-
 def discrete_charpoly_seq(chain):
     """All prefix characteristic polynomials of a discrete chain.
 
@@ -136,16 +129,17 @@ def continuous_charpoly_seq(chain):
 def direct_determinant(matrix, s, kind):
     """Dense-determinant oracle: det(I - s M) or det(s I - M).
 
-    ``s`` is a scalar (returns a float) or a 1-D array of points (returns an
+    ``s`` is a real or complex scalar or a 1-D array of points (returns an
     array): the matrices of all the points are stacked and factored in one
     ``np.linalg.det`` call, by LU with partial pivoting on each.  This is
-    the brute-force cross-check for the recurrences above and is
-    deliberately independent of them.
+    the brute-force cross-check for the recurrences above and the law's
+    transforms, and is deliberately independent of both.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    points = np.asarray(s, dtype=float)
+    points = np.asarray(s)
+    points = points.astype(np.result_type(points, float))
     if points.ndim > 1:
         raise ValueError("s must be a scalar or a 1-D array of points")
     stacked = np.atleast_1d(points)[:, None, None]
@@ -156,4 +150,4 @@ def direct_determinant(matrix, s, kind):
         dets = np.linalg.det(stacked * eye - m)
     else:
         raise ValueError(f'kind must be "discrete" or "continuous", got {kind!r}')
-    return dets if points.ndim else float(dets[0])
+    return dets if points.ndim else dets[0].item()

@@ -27,11 +27,11 @@ class RangeError(SkipFreeError, ValueError):
 
 
 class InvariantError(SkipFreeError):
-    """A law invariant failed in floating point on a chain that passed validation.
+    """A law computed from a chain that passed validation broke down in floating point.
 
-    The chain is valid; the numbers computed from it are not accurate
-    enough to satisfy the identity (for example denom(0) against the
-    product of up-rates), so this is a numerical failure, not bad input.
+    The chain is valid; a number computed from it is not one the law can
+    have (for example a mean absorption time that overflows a double), so
+    this is a numerical failure, not bad input.
     """
 
 

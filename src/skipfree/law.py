@@ -1,23 +1,19 @@
 """The absorption-time law and its evaluators.
 
-A :class:`HittingLaw` packages the exact rational transform of the time to
-absorption: for a discrete chain the probability generating function
+A :class:`HittingLaw` packages the law of the time to absorption from state
+0, whose transform is the probability generating function
+p_0...p_{d-1} s^d / det(I - s P_{d-1}) of a discrete chain or the Laplace
+transform alpha_0...alpha_{d-1} / det(s I - Q_{d-1}) of a continuous one.
 
-    phi(s) = p_0...p_{d-1} s^d / det(I_{d-1} - s P_{d-1}),
-
-for a continuous chain the Laplace transform
-
-    phi(s) = alpha_0...alpha_{d-1} / det(s I_{d-1} - Q_{d-1}).
-
-The rational form (leading constant over the recurrence's denominator
-polynomial) is the authoritative evaluator of the transforms and the
-discrete moments.  The discrete PMF comes from the transient block instead:
-vector iteration in blocks of PMF_BLOCK powers, whose products are all of
-nonnegative numbers, with the exact mass left in the transient states as
-its tail bound; the power series of the rational form is its oracle
-(:func:`pgf_coefficients`).  The eigenvalue product form and the
-geometric/exponential phase representation are verification surfaces
-layered on top.
+The chain climbs one state at a time, so the passage 0 -> d is the sum of
+the independent stage passages n -> n+1.  One recursion over the stages
+(:func:`_passage`, the determinants' bottom-row recurrence in ratio form)
+gives the transforms and the moments of both chain kinds; no monomial
+coefficient enters them.  The discrete PMF is vector iteration on the
+transient block in blocks of PMF_BLOCK powers, with the exact mass left in
+the transient states as its tail bound.  The monomial denominator is
+computed only on request (:attr:`HittingLaw.denom`), for the ``law`` output
+and the PMF's oracle :func:`pgf_coefficients`.
 """
 
 import math
@@ -27,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ContinuousChain, DiscreteChain, transient_block
-from .charpoly import (
-    Polynomial,
-    continuous_charpoly_seq,
-    discrete_charpoly_seq,
-    poly_derivative,
-    poly_eval,
-)
+from .charpoly import continuous_charpoly_seq, discrete_charpoly_seq
 from .errors import (
     DegenerateSpectrumError,
     InvariantError,
@@ -68,22 +58,31 @@ class HittingLaw:
         The absorbing state index; also the number of phases.
     leading : float
         p_0...p_{d-1} (discrete) or alpha_0...alpha_{d-1} (continuous).
-    denom : Polynomial
-        det(I - s P_{d-1}) resp. det(s I - Q_{d-1}).
     spectrum : Spectrum
         Transient-block eigenvalues with realness classification.
     source : chain, optional
-        The chain the law was built from; needed by :func:`pmf_table`, which
-        iterates its transient block, and by the uniformization route of
-        :func:`pdf_cdf_table`.
+        The chain the law was built from; the transforms, moments, PMF and
+        uniformization route read it and raise ValueError without it.
     """
 
     kind: str
     d: int
     leading: float
-    denom: Polynomial
     spectrum: Spectrum
     source: object = field(default=None, compare=False, repr=False)
+
+    @property
+    def denom(self):
+        """det(I - s P_{d-1}) resp. det(s I - Q_{d-1}) as a Polynomial.
+
+        Computed from the source chain when read, by the O(d^3) monomial
+        recurrence.  Its coefficients cancel on large chains, so only the
+        ``law`` output and :func:`pgf_coefficients` read it.
+        """
+        if self.source is None:
+            raise ValueError("denom needs the law's source chain")
+        seq = discrete_charpoly_seq if self.kind == "discrete" else continuous_charpoly_seq
+        return seq(self.source)[-1]
 
 
 @dataclass(frozen=True)
@@ -104,66 +103,89 @@ class NotApplicable:
 
 
 def build_law(chain, tol=DEFAULT_REAL_TOL):
-    """Assemble the HittingLaw of a chain, verifying its invariants.
-
-    Discrete laws must have denom(0) = 1 and denom(1) equal to the leading
-    constant (the transform is 1 at s=1); continuous laws must be monic with
-    denom(0) equal to the leading constant.  The chain itself is already
-    valid, so a violation is a numerical failure and raises InvariantError.
-    """
-    if isinstance(chain, DiscreteChain):
-        denom = discrete_charpoly_seq(chain)[-1]
-        leading = math.prod(chain.up)
-        spectrum = eigenvalues_discrete(chain, tol)
-        if denom.coeffs[0] != 1.0:
-            raise InvariantError(f"denominator constant term is {denom.coeffs[0]!r}, not 1")
-        at_one = poly_eval(denom, 1.0)
-        if abs(at_one - leading) > 1e-10 * max(1.0, abs(leading)):
-            raise InvariantError(
-                f"denom(1)={at_one!r} does not match up-probability product {leading!r}"
-            )
-        law = HittingLaw("discrete", chain.d, leading, denom, spectrum, source=chain)
-    elif isinstance(chain, ContinuousChain):
-        denom = continuous_charpoly_seq(chain)[-1]
-        leading = math.prod(chain.up)
-        spectrum = eigenvalues_continuous(chain, tol)
-        if denom.degree != chain.d or denom.coeffs[-1] != 1.0:
-            raise InvariantError("denominator is not monic of degree d")
-        at_zero = poly_eval(denom, 0.0)
-        if abs(at_zero - leading) > 1e-10 * abs(leading):
-            raise InvariantError(
-                f"denom(0)={at_zero!r} does not match up-rate product {leading!r}"
-            )
-        law = HittingLaw("continuous", chain.d, leading, denom, spectrum, source=chain)
-    else:
+    """Assemble the HittingLaw of a chain: spectrum, leading constant, source."""
+    if not isinstance(chain, (DiscreteChain, ContinuousChain)):
         raise TypeError(f"not a chain: {type(chain).__name__}")
-    return law
+    eigenvalues = eigenvalues_discrete if chain.kind == "discrete" else eigenvalues_continuous
+    spectrum = eigenvalues(chain, tol)
+    return HittingLaw(chain.kind, chain.d, math.prod(chain.up), spectrum, source=chain)
 
 
-def _denom_at(law, s):
-    value = poly_eval(law.denom, s)
-    if abs(value) < POLE_GUARD:
-        raise PoleError(f"denominator is {abs(value):.3e} at s={s}; too close to a pole")
-    return value
+def _passage(law, stage, combine, unit):
+    """Summary of the passage 0 -> d, combined from the stage passages n -> n+1.
+
+    ``stage(up, down, diagonal, below)`` solves stage n from row n of the
+    transient block and below[j], the summary of the passage j -> n: the
+    ``combine`` of stages j..n-1 (a product of transforms, a sum of moments),
+    kept as suffixes and never as quotients or differences of prefixes.
+    ``unit`` summarises the empty passage.
+    """
+    if law.source is None:
+        raise ValueError("the stage recursion needs the law's source chain")
+    chain = law.source
+    block = transient_block(chain, chain.d - 1)
+    below = np.empty((chain.d,) + np.shape(unit), dtype=np.result_type(unit))
+    below[:] = unit
+    for n in range(chain.d):
+        here = stage(chain.up[n], block[n, :n], block[n, n], below[:n])
+        combine(below[: n + 1], here, out=below[: n + 1])
+    return below[0]
+
+
+def _transform(law, s):
+    """The product of the stage transforms psi_n at s, a scalar or 1-D array.
+
+    psi_n(s) = up_n z / (step_n(s) - z sum_j down_{n,j} psi_j(s)...psi_{n-1}(s)),
+    with z = s and step_n(s) = 1 - r_n s for a discrete chain, z = 1 and
+    step_n(s) = s + gamma_n for a continuous one.  A stage denominator below
+    POLE_GUARD in modulus raises PoleError.
+    """
+    points = np.asarray(s)
+    if points.ndim > 1:
+        raise ValueError("s must be a scalar or a 1-D array of points")
+    points = np.atleast_1d(points).astype(np.result_type(points, float))
+    discrete = law.kind == "discrete"
+    z = points if discrete else 1.0
+
+    def stage(up, down, diagonal, below):
+        step = 1.0 - diagonal * points if discrete else points - diagonal
+        denom = step - z * (down @ below)
+        near = np.abs(denom).min()
+        if near < POLE_GUARD:
+            raise PoleError(f"a stage denominator is {near:.3e}; too close to a pole")
+        return up * z / denom
+
+    value = _passage(law, stage, np.multiply, np.ones_like(points))
+    return value if np.ndim(s) else value[0].item()
 
 
 def pgf(law, s):
     """Probability generating function E[s^tau] of a discrete law.
 
-    Evaluates the rational form leading * s^d / denom(s).  Valid on the
-    pole-free disc |s| < 1/max|lambda_i|; the caller owns that precondition,
-    only near-pole evaluation is rejected.
+    ``s`` is a real or complex scalar or a 1-D array of points; the value is
+    the product of the stage transforms (:func:`_transform`).  Valid on the
+    pole-free disc |s| < 1/max|lambda_i|, which the caller owns; only
+    near-pole evaluation is rejected.  For |s| <= 1 no stage transform
+    exceeds 1 in modulus, so the product underflows only where phi does.
+
+    >>> from skipfree import DiscreteChain, build_law
+    >>> law = build_law(DiscreteChain(d=1, hold=[0.5], up=[0.5]))
+    >>> pgf(law, [0.0, 0.5, 1.0]).tolist()
+    [0.0, 0.3333333333333333, 1.0]
     """
     if law.kind != "discrete":
         raise ValueError("pgf is defined for discrete laws only")
-    return law.leading * s**law.d / _denom_at(law, s)
+    return _transform(law, s)
 
 
 def laplace(law, s):
-    """Laplace transform E[exp(-s tau)] of a continuous law, Re(s) >= 0."""
+    """Laplace transform E[exp(-s tau)] of a continuous law, Re(s) >= 0.
+
+    Takes and returns the same forms as :func:`pgf`.
+    """
     if law.kind != "continuous":
         raise ValueError("laplace is defined for continuous laws only")
-    return law.leading / _denom_at(law, s)
+    return _transform(law, s)
 
 
 def _pmf_panel(block, exit_prob):
@@ -368,31 +390,34 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
 
 
 def moments(law):
-    """Mean and variance of the absorption time.
+    """Mean and variance of the absorption time, as sums over the stages.
 
-    Discrete laws differentiate the rational PGF at s=1 (mean is
-    d - denom'(1)/denom(1)); continuous laws use the spectral sums
-    sum 1/lambda_i and sum 1/lambda_i^2, whose imaginary parts cancel over
-    conjugate pairs.
+    By first-step analysis, stage n's mean m_n and second moment u_n solve
 
-    Returns
-    -------
-    (mean, variance) : tuple of float
+        up_n m_n = 1 + sum_j down_{n,j} M_j
+        up_n u_n = 2 m_n - c + sum_j down_{n,j} (V_j + M_j^2 + 2 M_j m_n)
+
+    where M_j, V_j are the mean and variance of the passage j -> n and c = 1
+    (discrete) or 0 (continuous); its variance is u_n - m_n^2.  The means are
+    sums of positive terms.  Returns (mean, variance) as floats; raises
+    InvariantError if a stage sum overflows a double.
+
+    >>> from skipfree import DiscreteChain, build_law
+    >>> moments(build_law(DiscreteChain(d=1, hold=[0.5], up=[0.5])))
+    (2.0, 2.0)
     """
-    if law.kind == "discrete":
-        g1 = poly_eval(law.denom, 1.0)
-        dg = poly_derivative(law.denom)
-        gp = poly_eval(dg, 1.0)
-        gpp = poly_eval(poly_derivative(dg), 1.0)
-        d = law.d
-        phi1 = law.leading / g1  # 1 up to build tolerance
-        mean = d - gp / g1
-        phip = phi1 * mean
-        # u = phi * denom with u(s) = leading * s^d, differentiated twice at s=1
-        phipp = (law.leading * d * (d - 1) - 2.0 * phip * gp - phi1 * gpp) / g1
-        return mean, phipp + phip - phip * phip
-    mean = sum(1.0 / v for v in law.spectrum.values).real
-    variance = sum(1.0 / (v * v) for v in law.spectrum.values).real
+    c = 1.0 if law.kind == "discrete" else 0.0
+
+    def stage(up, down, diagonal, below):
+        mean, var = below.T
+        m = (1.0 + down @ mean) / up
+        u = (2.0 * m - c + down @ (var + mean * (mean + 2.0 * m))) / up
+        return m, u - m * m
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, variance = _passage(law, stage, np.add, np.zeros(2)).tolist()
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise InvariantError(f"the stage moments overflow: mean {mean!r}, variance {variance!r}")
     return mean, variance
 
 

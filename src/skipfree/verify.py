@@ -1,10 +1,11 @@
 """Cross-check every closed form of one chain against its oracles.
 
 Each check pairs an output of the charpoly/spectral/law pipeline with an
-independent route (dense determinants, the PGF's power series,
-uniformization, convolution, first-step linear systems) and reduces the
-pointwise errors to a ComparisonReport.  The CLI's ``verify`` command and the
-corpus scripts are thin wrappers over :func:`verification_reports`.
+independent route (dense determinants, the eigenvalue product, the PGF's
+power series, uniformization, convolution, first-step linear systems) and
+reduces the pointwise errors to a ComparisonReport.  The CLI's ``verify``
+command and the corpus scripts are thin wrappers over
+:func:`verification_reports`.
 """
 
 import numpy as np
@@ -55,6 +56,12 @@ def _determinant_errors(chain, seq, kind, rng, s_points):
     return np.concatenate(errors)
 
 
+def _product_identity(factors, chain):
+    """|prod(factors) / prod(up) - 1|, summed in logs so neither product underflows."""
+    log_ratio = np.sum(np.log(factors)) - np.sum(np.log(chain.up))
+    return report_from_errors([abs(np.exp(log_ratio) - 1.0)], PRODUCT_THRESHOLD)
+
+
 def verification_reports(chain, seed=0, s_points=20):
     """All oracle cross-checks for one chain.
 
@@ -64,32 +71,17 @@ def verification_reports(chain, seed=0, s_points=20):
     """
     rng = np.random.default_rng(seed)
     law = build_law(chain)
-    reports = []
+    discrete = isinstance(chain, DiscreteChain)
+    seq = (discrete_charpoly_seq if discrete else continuous_charpoly_seq)(chain)
+    errs = _determinant_errors(chain, seq, chain.kind, rng, s_points)
+    reports = [("charpoly_vs_determinant", report_from_errors(errs, DET_THRESHOLD))]
+    lam = np.asarray(law.spectrum.values)[:, None]
 
-    if isinstance(chain, DiscreteChain):
-        seq = discrete_charpoly_seq(chain)
-        reports.append(
-            (
-                "charpoly_vs_determinant",
-                report_from_errors(
-                    _determinant_errors(chain, seq, "discrete", rng, s_points),
-                    DET_THRESHOLD,
-                ),
-            )
-        )
-        lam = law.spectrum.values
-        dual = [
-            pgf(law, s)
-            - np.prod([(1.0 - v) * s / (1.0 - v * s) for v in lam])
-            for s in np.arange(0.1, 0.95, 0.1)
-        ]
-        reports.append(
-            ("pgf_dual_form", report_from_errors(np.abs(dual), DUAL_FORM_THRESHOLD))
-        )
-        prod_id = abs(np.prod([1.0 - v for v in lam]) - law.leading) / law.leading
-        reports.append(
-            ("eigen_product_identity", report_from_errors([prod_id], PRODUCT_THRESHOLD))
-        )
+    if discrete:
+        s = np.arange(0.1, 0.95, 0.1)
+        dual = pgf(law, s) - np.prod((1.0 - lam) * s / (1.0 - lam * s), axis=0)
+        reports.append(("pgf_dual_form", report_from_errors(np.abs(dual), DUAL_FORM_THRESHOLD)))
+        reports.append(("eigen_product_identity", _product_identity(1.0 - lam, chain)))
         # the block-route table is the matrix-power side of this check
         table = pmf_table(law, eps=1e-10)
         series = pgf_coefficients(law, len(table.support))
@@ -103,27 +95,9 @@ def verification_reports(chain, seed=0, s_points=20):
                 ("pmf_vs_geometric_convolution", report_from_errors(errs, PMF_THRESHOLD))
             )
     else:
-        seq = continuous_charpoly_seq(chain)
-        reports.append(
-            (
-                "charpoly_vs_determinant",
-                report_from_errors(
-                    _determinant_errors(chain, seq, "continuous", rng, s_points),
-                    DET_THRESHOLD,
-                ),
-            )
-        )
-        reports.append(
-            (
-                "laplace_at_zero",
-                report_from_errors([abs(laplace(law, 0.0) - 1.0)], 1e-10),
-            )
-        )
-        lam = law.spectrum.values
-        prod_id = abs(np.prod(lam) - law.leading) / law.leading
-        reports.append(
-            ("eigen_product_identity", report_from_errors([abs(prod_id)], PRODUCT_THRESHOLD))
-        )
+        at_zero = abs(laplace(law, 0.0) - 1.0)
+        reports.append(("laplace_at_zero", report_from_errors([at_zero], 1e-10)))
+        reports.append(("eigen_product_identity", _product_identity(lam, chain)))
         grid = default_grid(law, 50)
         try:
             closed = pdf_cdf_table(law, grid, method="partial_fractions")

@@ -8,15 +8,10 @@ from skipfree import (
     continuous_charpoly_seq,
     direct_determinant,
     discrete_charpoly_seq,
-    poly_derivative,
     poly_eval,
     transient_block,
 )
 from skipfree.corpus import random_continuous_chain, random_discrete_chain
-
-coeff_lists = st.lists(
-    st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=8
-)
 
 
 def test_polynomial_trims_exact_trailing_zeros_only():
@@ -28,16 +23,6 @@ def test_polynomial_trims_exact_trailing_zeros_only():
 
 def test_poly_ops_worked_values():
     assert poly_eval([1, -0.5, -0.18], 1.0) == pytest.approx(0.32)
-    assert poly_derivative([1, -0.5, -0.18]).coeffs == (-0.5, -0.36)
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=coeff_lists, x=st.floats(-1, 1))
-def test_poly_derivative_matches_finite_differences(a, x):
-    h = 1e-6
-    fd = (poly_eval(a, x + h) - poly_eval(a, x - h)) / (2 * h)
-    scale = 1.0 + max(abs(c) for c in a)
-    assert abs(poly_eval(poly_derivative(a), x) - fd) <= 1e-4 * scale
 
 
 def test_poly_eval_complex_point():

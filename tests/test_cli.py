@@ -18,7 +18,7 @@ from skipfree import (
     phase_representation,
     serialize_chain,
 )
-from skipfree.corpus import random_continuous_chain
+from skipfree.corpus import random_continuous_chain, random_discrete_chain
 from skipfree.cli import RunConfig, emit_table, parse_table_csv, run
 from tests.conftest import CHAIN_DIR, GOLDEN_DIR
 
@@ -142,14 +142,27 @@ def test_verify_examples_exit_0(capsys):
         assert report["margin"] == report["max_abs_err"] / report["threshold"] < 1.0
 
 
-def test_invariant_failure_on_valid_chain_exits_2(tmp_path, capsys):
-    # a valid chain whose monomial denom(0) misses the up-rate product by 0.2%
-    chain = random_continuous_chain(np.random.default_rng(1), 24)
-    path = tmp_path / "d24.json"
-    path.write_text(serialize_chain(chain))
-    code, out, err = run_cli(capsys, "spectrum", path)
-    assert code == 2 and out == ""
-    assert "numerical failure" in err and "denom(0)" in err
+def _cli_subprocess(*argv):
+    """``python -W error -m skipfree.cli argv``: any warning fails the command."""
+    src = pathlib.Path(skipfree.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "skipfree.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_invariant_failure_on_valid_chain_exits_2(tmp_path):
+    # a valid chain on which the monomial denom(0) misses the up-rate product by 0.2%
+    wide = tmp_path / "continuous_d24.json"
+    wide.write_text(serialize_chain(random_continuous_chain(np.random.default_rng(1), 24)))
+    proc = _cli_subprocess("spectrum", wide)
+    assert proc.returncode == 0 and proc.stderr == ""
+    # a valid chain whose mean absorption time overflows a double
+    slow = tmp_path / "discrete_d256.json"
+    slow.write_text(serialize_chain(random_discrete_chain(np.random.default_rng(1), 256)))
+    proc = _cli_subprocess("moments", slow)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: numerical failure: ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_parser_defaults_are_run_config_defaults():
@@ -230,11 +243,7 @@ def test_csv_round_trip_is_exact():
     ],
 )
 def test_option_out_of_range_exits_1_without_traceback(argv, message):
-    argv = [argv[0], str(CHAIN_DIR / argv[1])] + argv[2:]
-    src = pathlib.Path(skipfree.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "skipfree.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _cli_subprocess(argv[0], CHAIN_DIR / argv[1], *argv[2:])
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: invalid input: {message}")
     assert "Traceback" not in proc.stderr

@@ -14,6 +14,7 @@ from skipfree import (
     SpectrumClass,
     TailError,
     build_law,
+    direct_determinant,
     expected_hitting_times,
     geometric_sum_pmf,
     laplace,
@@ -48,6 +49,13 @@ def test_build_law_worked_values(d1_geometric, d2_mixed, rates12_pure_birth):
     assert lawc.leading == 2.0 and lawc.denom.coeffs == (2.0, 3.0, 1.0)
 
 
+def _determinant_transform(law, s):
+    """leading s^d / det(I - s P) or leading / det(s I - Q), by dense LU."""
+    chain = law.source
+    det = direct_determinant(transient_block(chain, chain.d - 1), s, law.kind)
+    return law.leading * (s**law.d if law.kind == "discrete" else 1.0) / det
+
+
 def test_pgf_values(d1_geometric, d2_mixed, d3_pure_birth):
     assert pgf(build_law(d1_geometric), 1.0) == pytest.approx(1.0)
     # oracle: 0.32*0.25 / (1 - 0.25 - 0.045)
@@ -55,6 +63,13 @@ def test_pgf_values(d1_geometric, d2_mixed, d3_pure_birth):
     law = build_law(d3_pure_birth)
     for s in (0.3, 0.7, 1.4):
         assert pgf(law, s) == pytest.approx(s**3)
+    law = build_law(d2_mixed)
+    points = np.array([-0.9, 0.0, 0.5, 1.0, 0.3 + 0.4j, -0.6j])
+    values = pgf(law, points)
+    assert np.array_equal(values, [pgf(law, s) for s in points])
+    assert isinstance(pgf(law, 0.5), float) and isinstance(pgf(law, 0.5j), complex)
+    oracle = _determinant_transform(law, points[4:])
+    assert np.max(np.abs(values[4:] / oracle - 1.0)) <= 1e-12
 
 
 def test_pgf_pole_and_kind_guard(d1_geometric, rates12_pure_birth):
@@ -67,10 +82,16 @@ def test_pgf_pole_and_kind_guard(d1_geometric, rates12_pure_birth):
         laplace(law, 1.0)
 
 
-def test_laplace_values(rate2_single, rates12_pure_birth):
+def test_laplace_values(rate2_single, rates12_pure_birth, rates11_coupled):
     assert laplace(build_law(rate2_single), 2.0) == pytest.approx(0.5)
     assert laplace(build_law(rates12_pure_birth), 1.0) == pytest.approx(1.0 / 3.0)
     assert laplace(build_law(rates12_pure_birth), 0.0) == pytest.approx(1.0, abs=1e-10)
+    law = build_law(rates11_coupled)
+    points = np.array([0.0, 0.5, 4.0, 1.0 + 2.0j, 0.1 - 3.0j])
+    values = laplace(law, points)
+    assert np.array_equal(values, [laplace(law, s) for s in points])
+    oracle = _determinant_transform(law, points[3:])
+    assert np.max(np.abs(values[3:] / oracle - 1.0)) <= 1e-12
 
 
 def test_pmf_geometric(d1_geometric):
@@ -113,7 +134,7 @@ def test_pmf_tail_error_past_max_terms(d1_geometric):
 
 def test_pmf_needs_the_source_chain(d1_geometric):
     law = build_law(d1_geometric)
-    sourceless = HittingLaw(law.kind, law.d, law.leading, law.denom, law.spectrum)
+    sourceless = HittingLaw(law.kind, law.d, law.leading, law.spectrum)
     with pytest.raises(ValueError, match="source"):
         pmf_table(sourceless)
 
@@ -147,19 +168,35 @@ def test_pmf_stops_at_block_edges(request, name, length):
     assert np.max(np.abs(np.subtract(table.mass_or_density, steps))) <= 1e-15
 
 
+def _first_step_second_moment(chain):
+    """E[tau^2] from state 0: (I - P) h2 = 2h - 1, or -Q h2 = 2h."""
+    h = expected_hitting_times(chain)
+    block = transient_block(chain, chain.d - 1)
+    if chain.kind == "discrete":
+        return np.linalg.solve(np.eye(chain.d) - block, 2.0 * h - 1.0)[0]
+    return np.linalg.solve(-block, 2.0 * h)[0]
+
+
 @pytest.mark.parametrize("d", range(8, 13))
 def test_pmf_exact_where_the_series_fails(d):
     # lazy birth-death chains on which the monomial series missed up to 4e-8
-    # of a mass and 7e-7 of the total
+    # of a mass and 7e-7 of the total, and the moments taken from the
+    # monomial denominator missed the first-step mean by up to 7.7e-6
     for seed in (0, 1, 2):
         chain = random_birth_death_discrete(np.random.default_rng(seed), d)
         assert desk_scale(chain)
-        table = pmf_table(build_law(chain))
+        law = build_law(chain)
+        table = pmf_table(law)
         masses = np.asarray(table.mass_or_density)
         steps = np.asarray(pmf_by_matrix_power(chain, masses.size).mass_or_density)
         assert np.max(np.abs(masses - steps)) <= 1e-15
         assert abs(1.0 - math.fsum(masses) - table.tail_bound) <= 1e-14
         assert 0.0 <= table.tail_bound <= 1e-12
+        mean, variance = moments(law)
+        h = expected_hitting_times(chain)[0]
+        second = _first_step_second_moment(chain)
+        assert abs(mean - h) <= 1e-8 * h
+        assert abs(variance - (second - h * h)) <= 1e-8 * second
 
 
 def _exact_pmf(chain, n_max):

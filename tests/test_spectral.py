@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from skipfree import (
     SpectrumClass,
+    build_law,
     classify,
     continuous_charpoly_seq,
     discrete_charpoly_seq,
     eigenvalues_continuous,
     eigenvalues_discrete,
     expected_hitting_times,
+    moments,
 )
 from skipfree.corpus import (
     desk_scale,
@@ -92,6 +94,8 @@ def test_birth_death_spectra_past_desk_scale(generator, sizes):
                 mean = np.sum(1.0 / lam)
             expected = expected_hitting_times(chain)[0]
             assert abs(mean - expected) <= MEAN_THRESHOLD * expected
+            stage_mean = moments(build_law(chain))[0]
+            assert abs(stage_mean - expected) <= MEAN_THRESHOLD * expected
             checked += 1
     assert checked >= len(sizes)
 
