@@ -1,9 +1,10 @@
 """Regenerate the golden CSV tables in tests/golden/.
 
 Each table is cross-checked against two oracles before it is written: the
-step-by-step matrix-power iteration and the PGF's power series.  A gap above
-GOLDEN_GAP to either refuses the write, so a regression in the PMF engine
-cannot silently refresh the goldens with bad values.
+step-by-step matrix-power iteration and the PGF inverted on the unit
+circle.  A gap above GOLDEN_GAP to either refuses the write, so a
+regression in the PMF engine cannot silently refresh the goldens with bad
+values.
 
 Run from the repository root: ``PYTHONPATH=src python scripts/make_goldens.py``.
 """
@@ -13,7 +14,13 @@ import sys
 
 import numpy as np
 
-from skipfree import build_law, parse_chain, pgf_coefficients, pmf_by_matrix_power, pmf_table
+from skipfree import (
+    build_law,
+    parse_chain,
+    pmf_by_matrix_power,
+    pmf_by_transform_inversion,
+    pmf_table,
+)
 from skipfree.cli import emit_table
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -33,7 +40,7 @@ def checked_table(chain_name):
     masses = np.asarray(table.mass_or_density)
     oracles = {
         "matrix power": pmf_by_matrix_power(chain, masses.size).mass_or_density,
-        "PGF series": pgf_coefficients(law, masses.size),
+        "PGF inversion": pmf_by_transform_inversion(law, masses.size),
     }
     gaps = {name: float(np.max(np.abs(masses - np.asarray(o)))) for name, o in oracles.items()}
     for name, gap in gaps.items():

@@ -13,7 +13,6 @@ from .chains import (
     ContinuousChain,
     DiscreteChain,
     parse_chain,
-    reaches_absorption,
     serialize_chain,
     transient_block,
 )
@@ -22,7 +21,6 @@ from .charpoly import (
     continuous_charpoly_seq,
     direct_determinant,
     discrete_charpoly_seq,
-    poly_eval,
 )
 from .errors import (
     ConvergenceError,
@@ -47,7 +45,6 @@ from .law import (
     moments,
     pdf_cdf_table,
     pgf,
-    pgf_coefficients,
     phase_representation,
     pmf_table,
 )
@@ -62,6 +59,7 @@ from .oracle import (
     ks_two_sample,
     pmf_by_matrix_power,
     pmf_by_path_enumeration,
+    pmf_by_transform_inversion,
     sample_hitting_times,
     transient_profile,
 )

@@ -87,8 +87,6 @@ class DiscreteChain:
                 raise ValidationError(
                     f"row {i} sums to 1{residual:+.3e}", row=i, residual=residual
                 )
-        if not reaches_absorption(self):
-            raise ValidationError("some transient state cannot reach the absorbing state")
 
     @property
     def kind(self):
@@ -133,8 +131,6 @@ class ContinuousChain:
             for x in down[i]:
                 if not math.isfinite(x) or x < 0.0:
                     raise ValidationError(f"row {i} has down rate {x} < 0", row=i)
-        if not reaches_absorption(self):
-            raise ValidationError("some transient state cannot reach the absorbing state")
 
     @property
     def gamma(self):
@@ -272,12 +268,3 @@ def transient_block(chain, n):
     m.flat[1 :: n + 2] = chain.up[:n]
     return m
 
-
-def reaches_absorption(chain):
-    """True iff every transient state can reach the absorbing state d.
-
-    Checks the upward ladder: a state reaches d iff every up edge above it
-    is open.  Always true for valid chains, whose constructors reject a
-    closed up edge (p_i, alpha_i <= 0) before calling this.
-    """
-    return all(p > 0.0 for p in chain.up)

@@ -1,19 +1,22 @@
-"""Polynomial arithmetic and determinant recurrences for transient blocks.
+"""Characteristic polynomials of transient blocks.
 
 The central objects are the polynomial sequences
 
     g_{0,n+1}(s)     = det(I_n - s P_n)      (discrete chains)
     g~_{0,n+1}(s)    = det(s I_n - Q_n)      (continuous chains)
 
-computed coefficient-by-coefficient through the lower-Hessenberg bottom-row
-recurrences rather than by any dense determinant.  The dense route survives
-as :func:`direct_determinant`, the independent oracle the recurrences are
-verified against.
+computed coefficient-by-coefficient through one lower-Hessenberg bottom-row
+recurrence for det(x I_n - M_n) (:func:`_charpoly_seq`) rather than by any
+dense determinant; the discrete sequence is its coefficients reversed.  The
+dense route survives as :func:`direct_determinant`, the independent oracle
+the recurrence is verified against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .chains import transient_block
 
 
 @dataclass(frozen=True)
@@ -40,90 +43,55 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-def _coeffs(p):
-    return p.coeffs if isinstance(p, Polynomial) else Polynomial(tuple(p)).coeffs
+def _charpoly_seq(chain):
+    """[det(x I - M_{n-1}) for n = 0..d] of the chain's transient block M, ascending in x.
 
+    M is lower Hessenberg with superdiagonal u, so expanding along the bottom
+    row gives the monic recurrence c_0 = 1 and
 
-def poly_eval(a, x):
-    """Evaluate at a real or complex point by Horner's scheme."""
-    acc = 0.0
-    for c in reversed(_coeffs(a)):
-        acc = acc * x + c
-    return acc
+        c_{n+1}(x) = (x - M_{n,n}) c_n(x)
+                     - sum_{k=1}^{n} M_{n,n-k} u_{n-k}...u_{n-1} c_{n-k}(x).
+
+    The superdiagonal suffix products are accumulated inside the loop,
+    keeping the whole sequence O(d^3).
+    """
+    block = transient_block(chain, chain.d - 1)
+    rows, up = block.tolist(), block.diagonal(1).tolist()
+    seq = [np.array([1.0])]
+    for n in range(chain.d):
+        cur = seq[n]
+        new = np.zeros(n + 2)
+        new[1:] += cur
+        new[:-1] -= rows[n][n] * cur
+        prod = 1.0  # u_{n-k} ... u_{n-1}, extended as k grows
+        for k in range(1, n + 1):
+            prod *= up[n - k]
+            w = rows[n][n - k] * prod
+            if w != 0.0:
+                low = seq[n - k]
+                new[: len(low)] -= w * low
+        seq.append(new)
+    return seq
 
 
 def discrete_charpoly_seq(chain):
     """All prefix characteristic polynomials of a discrete chain.
 
-    Returns the list [g_{0,0}, ..., g_{0,d}] where g_{0,0} = 1 and
-
-        g_{0,n+1}(s) = (1 - r_n s) g_{0,n}(s)
-                       - sum_{k=1}^{n} q_{n,n-k} s^{k+1} p_{n-k}...p_{n-1} g_{0,n-k}(s),
-
-    so that g_{0,n+1}(s) = det(I_n - s P_n).  The constant term stays
-    exactly 1 and deg g_{0,n+1} <= n+1.  Up-probability suffix products are
-    accumulated inside the loop, keeping the whole sequence O(d^3).
-
-    Parameters
-    ----------
-    chain : DiscreteChain
-
-    Returns
-    -------
-    list of Polynomial, length d+1
+    Returns the list [g_{0,0}, ..., g_{0,d}] with g_{0,n+1}(s) = det(I_n - s P_n)
+    = s^{n+1} det(s^{-1} I_n - P_n): the monic recurrence's coefficients
+    reversed.  The constant term is exactly 1 and deg g_{0,n+1} <= n+1.
     """
-    r, p, q = chain.hold, chain.up, chain.down
-    seq = [np.array([1.0])]
-    for n in range(chain.d):
-        cur = seq[n]
-        new = np.zeros(n + 2)
-        new[: len(cur)] += cur
-        new[1 : len(cur) + 1] -= r[n] * cur
-        prod = 1.0  # p_{n-k} ... p_{n-1}, extended as k grows
-        for k in range(1, n + 1):
-            prod *= p[n - k]
-            w = q[n][n - k] * prod
-            if w != 0.0:
-                low = seq[n - k]
-                new[k + 1 : k + 1 + len(low)] -= w * low
-        seq.append(new)
-    return [Polynomial(tuple(c)) for c in seq]
+    return [Polynomial(tuple(c[::-1])) for c in _charpoly_seq(chain)]
 
 
 def continuous_charpoly_seq(chain):
     """All prefix characteristic polynomials of a continuous chain.
 
-    Returns [g~_{0,0}, ..., g~_{0,d}] where g~_{0,0} = 1 and
-
-        g~_{0,n+1}(s) = (s + gamma_n) g~_{0,n}(s)
-                        - sum_{k=1}^{n} beta_{n,n-k} alpha_{n-k}...alpha_{n-1} g~_{0,n-k}(s),
-
-    so that g~_{0,n+1}(s) = det(s I_n - Q_n), monic of degree n+1.
-
-    Parameters
-    ----------
-    chain : ContinuousChain
-
-    Returns
-    -------
-    list of Polynomial, length d+1
+    Returns [g~_{0,0}, ..., g~_{0,d}] with g~_{0,n+1}(s) = det(s I_n - Q_n),
+    monic of degree n+1; there M_{n,n} = -gamma_n, M_{n,j} = beta_{n,j} and
+    u = alpha in the recurrence of :func:`_charpoly_seq`.
     """
-    alpha, beta, gamma = chain.up, chain.down, chain.gamma
-    seq = [np.array([1.0])]
-    for n in range(chain.d):
-        cur = seq[n]
-        new = np.zeros(n + 2)
-        new[: len(cur)] += gamma[n] * cur
-        new[1 : len(cur) + 1] += cur
-        prod = 1.0  # alpha_{n-k} ... alpha_{n-1}
-        for k in range(1, n + 1):
-            prod *= alpha[n - k]
-            w = beta[n][n - k] * prod
-            if w != 0.0:
-                low = seq[n - k]
-                new[: len(low)] -= w * low
-        seq.append(new)
-    return [Polynomial(tuple(c)) for c in seq]
+    return [Polynomial(tuple(c)) for c in _charpoly_seq(chain)]
 
 
 def direct_determinant(matrix, s, kind):

@@ -12,13 +12,12 @@ gives the transforms and the moments of both chain kinds; no monomial
 coefficient enters them.  The discrete PMF is vector iteration on the
 transient block in blocks of PMF_BLOCK powers, with the exact mass left in
 the transient states as its tail bound.  The monomial denominator is
-computed only on request (:attr:`HittingLaw.denom`), for the ``law`` output
-and the PMF's oracle :func:`pgf_coefficients`.
+computed only on request (:attr:`HittingLaw.denom`), for the ``law``
+output.
 """
 
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,23 +52,30 @@ class HittingLaw:
 
     Fields
     ------
-    kind : "discrete" or "continuous"
-    d : int
-        The absorbing state index; also the number of phases.
-    leading : float
-        p_0...p_{d-1} (discrete) or alpha_0...alpha_{d-1} (continuous).
+    source : DiscreteChain or ContinuousChain
+        The chain the law was built from; the transforms, moments, PMF and
+        uniformization route read it.
     spectrum : Spectrum
         Transient-block eigenvalues with realness classification.
-    source : chain, optional
-        The chain the law was built from; the transforms, moments, PMF and
-        uniformization route read it and raise ValueError without it.
     """
 
-    kind: str
-    d: int
-    leading: float
+    source: object
     spectrum: Spectrum
-    source: object = field(default=None, compare=False, repr=False)
+
+    @property
+    def kind(self):
+        """"discrete" or "continuous"."""
+        return self.source.kind
+
+    @property
+    def d(self):
+        """The absorbing state index; also the number of phases."""
+        return self.source.d
+
+    @property
+    def leading(self):
+        """p_0...p_{d-1} (discrete) or alpha_0...alpha_{d-1} (continuous)."""
+        return math.prod(self.source.up)
 
     @property
     def denom(self):
@@ -77,10 +83,8 @@ class HittingLaw:
 
         Computed from the source chain when read, by the O(d^3) monomial
         recurrence.  Its coefficients cancel on large chains, so only the
-        ``law`` output and :func:`pgf_coefficients` read it.
+        ``law`` output reads it.
         """
-        if self.source is None:
-            raise ValueError("denom needs the law's source chain")
         seq = discrete_charpoly_seq if self.kind == "discrete" else continuous_charpoly_seq
         return seq(self.source)[-1]
 
@@ -103,12 +107,12 @@ class NotApplicable:
 
 
 def build_law(chain, tol=DEFAULT_REAL_TOL):
-    """Assemble the HittingLaw of a chain: spectrum, leading constant, source."""
+    """Assemble the HittingLaw of a chain: the chain and its spectrum."""
     if not isinstance(chain, (DiscreteChain, ContinuousChain)):
         raise TypeError(f"not a chain: {type(chain).__name__}")
     eigenvalues = eigenvalues_discrete if chain.kind == "discrete" else eigenvalues_continuous
     spectrum = eigenvalues(chain, tol)
-    return HittingLaw(chain.kind, chain.d, math.prod(chain.up), spectrum, source=chain)
+    return HittingLaw(chain, spectrum)
 
 
 def _passage(law, stage, combine, unit):
@@ -120,8 +124,6 @@ def _passage(law, stage, combine, unit):
     kept as suffixes and never as quotients or differences of prefixes.
     ``unit`` summarises the empty passage.
     """
-    if law.source is None:
-        raise ValueError("the stage recursion needs the law's source chain")
     chain = law.source
     block = transient_block(chain, chain.d - 1)
     below = np.empty((chain.d,) + np.shape(unit), dtype=np.result_type(unit))
@@ -227,8 +229,6 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
 
     Raises
     ------
-    ValueError
-        If the law has no source chain.
     RangeError
         If eps is not in (0, 1).
     TailError
@@ -238,8 +238,6 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
         raise ValueError("pmf_table is defined for discrete laws only")
     if not 0.0 < eps < 1.0:
         raise RangeError(f"eps must be in (0,1), got {eps}")
-    if law.source is None:
-        raise ValueError("pmf_table needs the law's source chain")
     chain = law.source
     panel, power = _pmf_panel(transient_block(chain, chain.d - 1), chain.up[chain.d - 1])
     v = np.zeros(chain.d)
@@ -262,33 +260,6 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
         blocks.append(out[:PMF_BLOCK])
         v = v @ power
     raise TailError(f"PMF table exceeded {max_terms} terms before the mass left fell to {eps}")
-
-
-def pgf_coefficients(law, n_max):
-    """Taylor coefficients a_1..a_{n_max} of the rational PGF.
-
-    The series of leading * s^d / denom(s) obeys the linear recurrence
-    a_n = 0 for n < d, a_d = leading, a_n = -sum_k denom_k a_{n-k} for n > d
-    (valid because denom(0) = 1), O(d) per term.  This is the oracle for
-    :func:`pmf_table`: it reaches the masses from the monomial coefficients
-    of denom, not from the block, and its alternating sums cancel once those
-    coefficients grow, so it has no stop rule of its own.
-    """
-    if law.kind != "discrete":
-        raise ValueError("pgf_coefficients is defined for discrete laws only")
-    g = law.denom.coeffs
-    d = law.d
-    coeffs = []
-    for n in range(1, n_max + 1):
-        if n < d:
-            a_n = 0.0
-        elif n == d:
-            a_n = law.leading
-        else:
-            k_end = min(len(g), n - d + 1)
-            a_n = -sum(map(operator.mul, g[1:k_end], reversed(coeffs[n - k_end : n - 1])))
-        coeffs.append(a_n)
-    return np.array(coeffs, dtype=float)
 
 
 def _partial_fraction_weights(rates):
@@ -373,8 +344,6 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
         # imported here: oracle depends on this module for DistributionTable
         from .oracle import transient_profile
 
-        if law.source is None:
-            raise ValueError("uniformization needs the law's source chain")
         chain = law.source
         occupancy = transient_profile(chain, grid, tol)
         density = chain.up[chain.d - 1] * occupancy[:, -1]

@@ -2,9 +2,10 @@
 
 Everything here reaches the absorption law through a route disjoint from the
 charpoly/spectral pipeline: dense vector-matrix iteration, literal path
-enumeration, uniformization of the generator, explicit convolution of phase
-components, and Monte Carlo simulation.  The comparators at the bottom turn
-pairs of tables into pass/fail reports.
+enumeration, inversion of the stage transform on the unit circle,
+uniformization of the generator, explicit convolution of phase components,
+and Monte Carlo simulation.  The comparators at the bottom turn pairs of
+tables into pass/fail reports.
 
 Randomness contract, stream version 2: samplers draw from numpy's Philox
 counter-based bit generator keyed by ``SamplerConfig.seed``, consuming draws
@@ -34,7 +35,7 @@ from .errors import (
     SingularSystemError,
     SupportMismatchError,
 )
-from .law import DistributionTable
+from .law import DistributionTable, pgf
 
 PATH_STEP_CAP = 10**9
 UNIFORMIZATION_BLOCK = 256
@@ -143,6 +144,24 @@ def pmf_by_path_enumeration(chain, n_max):
         cumulative=tuple(cum),
         tail_bound=max(0.0, 1.0 - float(cum[-1])),
     )
+
+
+def pmf_by_transform_inversion(law, n_max):
+    """Masses a_1..a_{n_max} of a discrete law, by inverting its PGF on the unit circle.
+
+    With K = 2 (n_max + 1), the values of :func:`~skipfree.law.pgf` at the
+    K-th roots of unity are the discrete Fourier transform of the masses
+    folded modulo K (Abate & Whitt 1992), so an inverse real FFT recovers
+    a_n plus the aliased masses a_{n+K}, a_{n+2K}, ..., which sum to at most
+    P(tau > 2 n_max + 2).  Only k = 0..K/2 is evaluated; the other half is
+    the complex conjugate.  The transform is the stage-ratio product, so
+    this route shares nothing with the block iteration of ``pmf_table``.
+    """
+    if law.kind != "discrete":
+        raise ValueError("pmf_by_transform_inversion is defined for discrete laws only")
+    points = 2 * (n_max + 1)
+    values = pgf(law, np.exp(2j * np.pi * np.arange(points // 2 + 1) / points))
+    return np.fft.irfft(values.conj(), n=points)[1 : n_max + 1]
 
 
 def _poisson_weights(mus, ks):

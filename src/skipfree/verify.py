@@ -1,11 +1,11 @@
 """Cross-check every closed form of one chain against its oracles.
 
 Each check pairs an output of the charpoly/spectral/law pipeline with an
-independent route (dense determinants, the eigenvalue product, the PGF's
-power series, uniformization, convolution, first-step linear systems) and
-reduces the pointwise errors to a ComparisonReport.  The CLI's ``verify``
-command and the corpus scripts are thin wrappers over
-:func:`verification_reports`.
+independent route (dense determinants, the eigenvalue product, the stage
+transform inverted on the unit circle, uniformization, convolution,
+first-step linear systems) and reduces the pointwise errors to a
+ComparisonReport.  The CLI's ``verify`` command and the corpus scripts are
+thin wrappers over :func:`verification_reports`.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from .law import (
     laplace,
     pdf_cdf_table,
     pgf,
-    pgf_coefficients,
     phase_representation,
     pmf_table,
     moments,
@@ -33,6 +32,7 @@ from .oracle import (
     cdf_by_uniformization,
     expected_hitting_times,
     geometric_sum_pmf,
+    pmf_by_transform_inversion,
     report_from_errors,
 )
 
@@ -50,7 +50,7 @@ def _determinant_errors(chain, seq, kind, rng, s_points):
     for n in range(chain.d):
         s = rng.uniform(lo, hi, size=s_points)
         direct = direct_determinant(transient_block(chain, n), s, kind)
-        # Horner's scheme over every point at once, in poly_eval's order
+        # Horner's scheme over every point at once
         recurrence = np.polyval(seq[n + 1].coeffs[::-1], s)
         errors.append((recurrence - direct) / (1.0 + np.abs(direct)))
     return np.concatenate(errors)
@@ -84,8 +84,8 @@ def verification_reports(chain, seed=0, s_points=20):
         reports.append(("eigen_product_identity", _product_identity(1.0 - lam, chain)))
         # the block-route table is the matrix-power side of this check
         table = pmf_table(law, eps=1e-10)
-        series = pgf_coefficients(law, len(table.support))
-        errs = np.asarray(table.mass_or_density) - series
+        inverted = pmf_by_transform_inversion(law, len(table.support))
+        errs = np.asarray(table.mass_or_density) - inverted
         reports.append(("pmf_vs_matrix_power", report_from_errors(errs, PMF_THRESHOLD)))
         phases = phase_representation(law)
         if not isinstance(phases, NotApplicable):

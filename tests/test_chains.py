@@ -12,7 +12,6 @@ from skipfree import (
     SchemaError,
     ValidationError,
     parse_chain,
-    reaches_absorption,
     serialize_chain,
     transient_block,
 )
@@ -157,9 +156,3 @@ def test_continuous_rows_balance(seed, d):
         assert off + (chain.up[i] if i == d - 1 else 0.0) == pytest.approx(
             chain.gamma[i], rel=1e-12
         )
-
-
-def test_reaches_absorption_always_true(d1_geometric, d2_mixed, rates11_coupled):
-    assert reaches_absorption(d1_geometric)
-    assert reaches_absorption(d2_mixed)
-    assert reaches_absorption(rates11_coupled)

@@ -22,11 +22,12 @@ from skipfree import (
     parse_chain,
     pdf_cdf_table,
     pgf,
-    pgf_coefficients,
     phase_representation,
     pmf_by_matrix_power,
+    pmf_by_transform_inversion,
     pmf_table,
     transient_block,
+    verification_reports,
 )
 from skipfree.cli import parse_table_csv
 from skipfree.corpus import (
@@ -35,7 +36,7 @@ from skipfree.corpus import (
     random_continuous_chain,
     random_discrete_chain,
 )
-from skipfree.law import PMF_BLOCK, HittingLaw
+from skipfree.law import PMF_BLOCK
 from tests.conftest import CHAIN_DIR, GOLDEN_DIR
 
 
@@ -132,13 +133,6 @@ def test_pmf_tail_error_past_max_terms(d1_geometric):
     assert len(pmf_table(law, max_terms=40).support) == 40
 
 
-def test_pmf_needs_the_source_chain(d1_geometric):
-    law = build_law(d1_geometric)
-    sourceless = HittingLaw(law.kind, law.d, law.leading, law.spectrum)
-    with pytest.raises(ValueError, match="source"):
-        pmf_table(sourceless)
-
-
 def _step_oracle_length(chain, eps):
     """First n whose transient mass left, by one v @ P per step, is <= eps."""
     block = transient_block(chain, chain.d - 1)
@@ -177,11 +171,12 @@ def _first_step_second_moment(chain):
     return np.linalg.solve(-block, 2.0 * h)[0]
 
 
-@pytest.mark.parametrize("d", range(8, 13))
+@pytest.mark.parametrize("d", range(8, 17))
 def test_pmf_exact_where_the_series_fails(d):
     # lazy birth-death chains on which the monomial series missed up to 4e-8
-    # of a mass and 7e-7 of the total, and the moments taken from the
-    # monomial denominator missed the first-step mean by up to 7.7e-6
+    # of a mass and 7e-7 of the total at d <= 12 (3.4e-4 at d = 16), and the
+    # moments taken from the monomial denominator missed the first-step mean
+    # by up to 7.7e-6; verify's PMF check took that series as its oracle
     for seed in (0, 1, 2):
         chain = random_birth_death_discrete(np.random.default_rng(seed), d)
         assert desk_scale(chain)
@@ -197,6 +192,7 @@ def test_pmf_exact_where_the_series_fails(d):
         second = _first_step_second_moment(chain)
         assert abs(mean - h) <= 1e-8 * h
         assert abs(variance - (second - h * h)) <= 1e-8 * second
+        assert dict(verification_reports(chain))["pmf_vs_matrix_power"].passed
 
 
 def _exact_pmf(chain, n_max):
@@ -221,14 +217,29 @@ def test_goldens_against_exact_rational_iteration(name):
 
 
 def test_pgf_coefficients_worked_values(d1_geometric, d2_mixed, d3_pure_birth):
-    assert pgf_coefficients(build_law(d1_geometric), 3).tolist() == [0.5, 0.25, 0.125]
+    # the inversion folds a_{n+K} onto a_n, so the series is taken far past the
+    # masses read, where the folded tail is below 1e-30
+    inverted = pmf_by_transform_inversion(build_law(d1_geometric), 100)
+    assert inverted[:3] == pytest.approx([0.5, 0.25, 0.125], rel=0, abs=1e-15)
     # oracle: exhaustive path enumeration to length 4
-    assert pgf_coefficients(build_law(d2_mixed), 4) == pytest.approx(
-        [0.0, 0.32, 0.16, 0.1376], rel=1e-12
-    )
-    assert pgf_coefficients(build_law(d3_pure_birth), 5).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+    inverted = pmf_by_transform_inversion(build_law(d2_mixed), 200)
+    assert inverted[:4] == pytest.approx([0.0, 0.32, 0.16, 0.1376], rel=1e-12, abs=1e-15)
+    inverted = pmf_by_transform_inversion(build_law(d3_pure_birth), 5)
+    assert inverted == pytest.approx([0.0, 0.0, 1.0, 0.0, 0.0], rel=0, abs=1e-15)
     with pytest.raises(ValueError):
-        pgf_coefficients(build_law(ContinuousChain(d=1, up=[2.0])), 3)
+        pmf_by_transform_inversion(build_law(ContinuousChain(d=1, up=[2.0])), 3)
+
+
+def test_transform_inversion_matches_matrix_power_on_shipped_chains():
+    chains = [parse_chain(path.read_text()) for path in sorted(CHAIN_DIR.glob("*.json"))]
+    discrete = [chain for chain in chains if chain.kind == "discrete"]
+    assert len(discrete) >= 4
+    for chain in discrete:
+        law = build_law(chain)
+        n_max = len(pmf_table(law).support)
+        inverted = pmf_by_transform_inversion(law, n_max)
+        stepped = pmf_by_matrix_power(chain, n_max).mass_or_density
+        assert np.max(np.abs(inverted - stepped)) <= 1e-15
 
 
 @settings(max_examples=25, deadline=None)
