@@ -287,12 +287,14 @@ def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
     """Evaluation grid for continuous tables: ``points`` values on [0, grid_max].
 
     ``grid_max`` defaults to five times the mean absorption time.  Raises
-    RangeError if ``points`` is below 1.
+    RangeError if ``points`` is below 1 or ``grid_max`` is not finite.
     """
     if points < 1:
         raise RangeError(f"grid points must be >= 1, got {points}")
     if grid_max is None:
         grid_max = 5.0 * moments(law)[0]
+    if not math.isfinite(grid_max):
+        raise RangeError(f"grid_max must be finite, got {grid_max}")
     return np.linspace(0.0, grid_max, points)
 
 
@@ -313,7 +315,7 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
     DegenerateSpectrumError
         If partial_fractions is forced on a near-repeated spectrum.
     RangeError
-        If the grid is empty, unsorted or negative.
+        If the grid is empty, not finite, unsorted or negative.
     """
     if law.kind != "continuous":
         raise ValueError("pdf_cdf_table is defined for continuous laws only")
@@ -322,8 +324,9 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
     if grid is None:
         grid = default_grid(law)
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid < 0.0) or np.any(np.diff(grid) < 0.0):
-        raise RangeError("grid must be nonempty, sorted and nonnegative")
+    valid = grid.size and np.all(np.isfinite(grid) & (grid >= 0.0))
+    if not valid or np.any(np.diff(grid) < 0.0):
+        raise RangeError("grid must be nonempty, finite, sorted and nonnegative")
 
     separable = _distinct_real_positive(law.spectrum)
     if method == "partial_fractions" and not separable:
@@ -337,7 +340,9 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
     if method == "partial_fractions":
         lam = np.array([v.real for v in law.spectrum.values])
         w = _partial_fraction_weights(lam)
-        decay = np.exp(-np.outer(grid, lam))
+        # t lambda overflows to inf only where exp(-t lambda) is 0 anyway
+        with np.errstate(over="ignore"):
+            decay = np.exp(-np.outer(grid, lam))
         density = decay @ (w * lam)
         cdf = (1.0 - decay) @ w
     else:

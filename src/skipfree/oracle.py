@@ -38,7 +38,6 @@ from .errors import (
 from .law import DistributionTable, pgf
 
 PATH_STEP_CAP = 10**9
-UNIFORMIZATION_BLOCK = 256
 GUIDE_BUCKETS = 1024  # a power of two, so that u * GUIDE_BUCKETS is exact
 
 
@@ -164,80 +163,74 @@ def pmf_by_transform_inversion(law, n_max):
     return np.fft.irfft(values.conj(), n=points)[1 : n_max + 1]
 
 
-def _poisson_weights(mus, ks):
-    """Poisson(mu) probabilities w_k(mu), one row per mu in ``mus``, one column per k in ``ks``.
+def _step_matrix(onestep, rate, gap, tol):
+    """exp(Q gap) within ``tol`` in every row sum.
 
-    Each weight is evaluated as exp(k log mu - mu - log k!), not by the
-    recurrence from w_0 = exp(-mu), which underflows once mu passes about
-    745 (the hazard Fox & Glynn 1988 work around); weights far from the
-    mode round to zero harmlessly.
+    Uniformize a short step h = gap / 2^s, the least s with mu = Lambda h <= 1/2:
+    exp(Q h) is the Poisson(mu) mixture of the powers of ``onestep`` = I + Q/Lambda
+    (Jensen 1953), whose weights w_k = w_{k-1} mu / k do not underflow at that
+    size.  Then square s times (Moler & Van Loan 2003).  Each squaring at most
+    doubles the mass the truncated series misses, so the series stops once its
+    tail is below tol / 2^s.  Every product is of nonnegative numbers.
     """
-    mus = np.asarray(mus, dtype=float)[:, None]
-    ks = np.asarray(ks)
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in ks])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_log_mu = np.where(ks > 0, ks * np.log(mus), 0.0)  # w_0(0) = 1
-    return np.exp(k_log_mu - mus - log_factorial)
-
-
-def _poisson_truncation(mu, tol):
-    """Smallest K with P(Poisson(mu) <= K) >= 1 - tol.
-
-    Bernstein's bound P(X >= mu + x) <= exp(-x^2 / (2 (mu + x/3))) caps the
-    search, so it ends even when rounding keeps the summed weights short of
-    1 - tol.
-    """
-    log_tol = -math.log(tol)
-    top = math.ceil(mu + log_tol / 3.0 + math.sqrt(log_tol**2 / 9.0 + 2.0 * mu * log_tol))
-    mass = np.cumsum(_poisson_weights([mu], np.arange(top + 1))[0])
-    return min(int(np.searchsorted(mass, 1.0 - tol)), top)
+    # Lambda * gap < 2^(a + b) from the binary exponents, since the product may overflow
+    squarings = max(0, math.frexp(rate)[1] + math.frexp(gap)[1] + 1)
+    mu = rate * math.ldexp(gap, -squarings)
+    if squarings and mu <= 0.25:
+        squarings -= 1
+        mu *= 2.0
+    budget = math.ldexp(tol, -squarings)
+    term = np.eye(len(onestep))
+    step = term.copy()
+    k, weight = 0, 1.0  # mu^k / k!
+    # the tail past term k sums to less than twice its first weight
+    while 2.0 * weight * mu / (k + 1) > budget:
+        k += 1
+        weight *= mu / k
+        term = term @ onestep * (mu / k)
+        step += term
+    step *= math.exp(-mu)
+    for _ in range(squarings):
+        step = step @ step
+    return step
 
 
 def transient_profile(chain, t, tol=1e-10):
-    """Occupancy of the transient states at time t, by uniformization.
+    """Occupancy of the transient states at time t, by uniformization and squaring.
 
-    ``t`` is a scalar or a 1-D array of times.  Returns e_0^T exp(Q_{d-1} t),
-    of shape (d,) for a scalar and (len(t), d) for an array, every entry
-    within ``tol`` of the exact value.  exp(Q t) is expanded as a
-    Poisson(Lambda*t) mixture of the powers v_k = e_0 (I + Q/Lambda)^k of
-    the substochastic matrix I + Q/Lambda, Lambda = max gamma_i (Jensen
-    1953).  The powers do not depend on t, so one pass up to the truncation
-    point K of the largest time serves every time.  It runs in blocks of
-    min(UNIFORMIZATION_BLOCK, the least power of two above K) powers, so
-    neither all the powers nor all the weights are held at once.  The first
-    block is filled by doubling, v_{w..2w-1} = v_{0..w-1} M^w with M^w
-    squared after each step; each next block is the last one times M^w for
-    the block's width w.  Every product is of nonnegative numbers.
+    ``t`` is a scalar or a 1-D array of times, in any order and with repeats.
+    Returns e_0^T exp(Q_{d-1} t), of shape (d,) for a scalar and (len(t), d)
+    for an array, every entry within ``tol`` of the exact value.  The times
+    are visited in sorted order, and each gap g between consecutive times is
+    crossed by one product v <- v exp(Q g).  One step matrix serves every
+    equal gap (an evenly spaced grid has a few distinct ones); it is built by
+    :func:`_step_matrix` in O(d^3 log(Lambda g)), Lambda = max gamma_i, with
+    ``tol`` split evenly over the steps.  v stays nonnegative with mass at
+    most 1, so each step adds at most its own share of the error.
     """
     if not isinstance(chain, ContinuousChain):
         raise TypeError("transient_profile needs a continuous chain")
     if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be in (0,1), got {tol}")
+        raise RangeError(f"tol must be in (0,1), got {tol}")
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D array of times")
+        raise RangeError("t must be a scalar or a 1-D array of times")
     grid = np.atleast_1d(times)
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
+        raise RangeError(f"t must be finite and nonnegative, got {t}")
     rate = max(chain.gamma)
     onestep = np.eye(chain.d) + transient_block(chain, chain.d - 1) / rate
-    mus = rate * grid
-    last = _poisson_truncation(float(mus.max()), tol)
-    width = min(UNIFORMIZATION_BLOCK, 1 << last.bit_length())
-    powers = np.zeros((width, chain.d))
-    powers[0, 0] = 1.0
-    stride = onestep  # M^filled
-    filled = 1
-    while filled < width:
-        powers[filled : 2 * filled] = powers[:filled] @ stride
-        stride = stride @ stride
-        filled *= 2
-    occupancy = np.zeros((grid.size, chain.d))
-    for start in range(0, last + 1, width):
-        ks = np.arange(start, min(start + width, last + 1))
-        if start:
-            powers = powers[: ks.size] @ stride
-        occupancy += _poisson_weights(mus, ks) @ powers[: ks.size]
+    order = np.argsort(grid, kind="stable")
+    gaps = np.diff(grid[order], prepend=0.0).tolist()
+    budget = tol / max(1, np.count_nonzero(gaps))
+    steps = {gap: _step_matrix(onestep, rate, gap, budget) for gap in set(gaps) if gap}
+    occupancy = np.empty((grid.size, chain.d))
+    v = np.zeros(chain.d)
+    v[0] = 1.0
+    for row, gap in zip(order, gaps):
+        if gap:
+            v = v @ steps[gap]
+        occupancy[row] = v
     return occupancy if times.ndim else occupancy[0]
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import skipfree
 from skipfree import (
+    ContinuousChain,
     DegenerateSpectrumError,
     DistributionTable,
     build_law,
@@ -240,6 +241,12 @@ def test_csv_round_trip_is_exact():
         (["sample", "d1_geometric.json", "--paths", "0"], "paths must be >= 1"),
         (["pdf", "d2_coupled_rates.json", "--grid-points", "0"], "grid points must be >= 1"),
         (["pdf", "d2_coupled_rates.json", "--grid-max", "-1"], "grid must be nonempty"),
+        (["cdf", "d2_coupled_rates.json", "--grid-max", "nan"], "grid_max must be finite"),
+        (["cdf", "d2_coupled_rates.json", "--grid-max", "inf"], "grid_max must be finite"),
+        (["cdf", "d2_coupled_rates.json", "--grid-max", "nan", "--method", "uniformization"],
+         "grid_max must be finite"),
+        (["pdf", "d2_coupled_rates.json", "--grid-max", "inf", "--method", "uniformization"],
+         "grid_max must be finite"),
     ],
 )
 def test_option_out_of_range_exits_1_without_traceback(argv, message):
@@ -248,6 +255,26 @@ def test_option_out_of_range_exits_1_without_traceback(argv, message):
     assert proc.stderr.startswith(f"error: invalid input: {message}")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_uniformized_cdf_over_a_huge_grid_exits_0():
+    proc = _cli_subprocess("cdf", CHAIN_DIR / "d2_coupled_rates.json",
+                           "--method", "uniformization", "--grid-max", "1e300")
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = [[float(x) for x in line.split(",")] for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 200 and rows[-1][0] == 1e300
+    assert all(cdf == 1.0 for t, _, cdf in rows if t > 0.0)
+
+
+@pytest.mark.parametrize("method", ["auto", "uniformization"])
+def test_fast_chain_at_the_top_of_the_double_range_never_tracebacks(tmp_path, method):
+    # Lambda times a grid gap passes the largest double
+    fast = tmp_path / "fast.json"
+    fast.write_text(serialize_chain(
+        ContinuousChain(d=3, up=[1e3, 1.2e3, 1e3], down=[[], [900.0], [0.0, 800.0]])))
+    proc = _cli_subprocess("cdf", fast, "--method", method, "--grid-max", "1e308")
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_run_config_rejects_unknown_command():

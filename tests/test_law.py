@@ -11,6 +11,7 @@ from skipfree import (
     DegenerateSpectrumError,
     NotApplicable,
     PoleError,
+    RangeError,
     SpectrumClass,
     TailError,
     build_law,
@@ -295,6 +296,10 @@ def test_pdf_cdf_grid_validation(rates12_pure_birth):
         pdf_cdf_table(law, [1.0, 0.5])
     with pytest.raises(ValueError):
         pdf_cdf_table(law, [0.0], method="quadrature")
+    for method in ("partial_fractions", "uniformization"):
+        for bad in ([0.0, np.nan], [0.0, np.inf]):
+            with pytest.raises(RangeError):
+                pdf_cdf_table(law, bad, method=method)
 
 
 def test_pdf_default_grid_integrates_to_one(rates12_pure_birth):

@@ -30,13 +30,8 @@ from skipfree.corpus import (
     random_continuous_chain,
     random_discrete_chain,
 )
-from skipfree.oracle import (
-    GUIDE_BUCKETS,
-    _guide_table,
-    _jump_keys,
-    _poisson_truncation,
-    _poisson_weights,
-)
+from skipfree.oracle import GUIDE_BUCKETS, _guide_table, _jump_keys
+from skipfree.verify import verification_reports
 
 
 def test_matrix_power_geometric(d1_geometric):
@@ -61,15 +56,6 @@ def test_path_enumeration_matches_matrix_power(d2_mixed):
     assert walk.mass_or_density == pytest.approx(power.mass_or_density, abs=1e-14)
 
 
-def test_poisson_weights_sum_and_shape():
-    w = _poisson_weights([7.3], np.arange(_poisson_truncation(7.3, 1e-12) + 1))[0]
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.argmax(w) == 7  # mode of Poisson(7.3)
-    # large rate: w_0 = exp(-2000) underflows, the weights near the mode must not
-    big = _poisson_weights([2000.0], np.arange(_poisson_truncation(2000.0, 1e-10) + 1))[0]
-    assert big.sum() == pytest.approx(1.0, abs=1e-10)
-
-
 def test_uniformization_single_rate(rate2_single):
     assert cdf_by_uniformization(rate2_single, 1.0) == pytest.approx(
         1 - math.exp(-2), abs=1e-10
@@ -91,14 +77,16 @@ def test_uniformization_pure_birth(rates12_pure_birth):
 def test_uniformization_matches_expm(seed, d, times):
     from scipy.linalg import expm
 
-    grid = np.array(sorted([0.0] + times))
+    # unsorted, with the first time repeated at the end
+    grid = np.array([0.0] + times + times[:1])
     chain = random_continuous_chain(np.random.default_rng(seed), d)
     profiles = transient_profile(chain, grid, tol=1e-12)
     assert profiles.shape == (grid.size, d)
+    assert np.array_equal(profiles[1], profiles[-1])
     block = transient_block(chain, d - 1)
     for t, profile in zip(grid, profiles):
         assert np.max(np.abs(profile - expm(block * t)[0])) <= 1e-9
-        # the scalar form truncates at its own time, the grid at the largest
+        # the scalar form crosses one gap, the grid a chain of gaps
         assert np.max(np.abs(profile - transient_profile(chain, t, tol=1e-12))) <= 2e-12
     cdf = cdf_by_uniformization(chain, grid, tol=1e-12)
     assert np.array_equal(cdf, 1.0 - profiles.sum(axis=1))
@@ -119,9 +107,32 @@ def test_uniformization_past_weight_underflow():
     assert profiles[-1].sum() > 0.5
 
 
+def test_uniformization_at_long_times():
+    from scipy.linalg import expm
+
+    # fast internal rates and a slow exit: at Lambda t = 1e6 most mass is still transient
+    chain = ContinuousChain(d=3, up=[1e3, 1e3, 1e-3], down=[[], [1e3], [0.0, 1e3]])
+    rate = max(chain.gamma)
+    grid = np.array([1e4, 1e6]) / rate
+    profiles = transient_profile(chain, grid)
+    block = transient_block(chain, chain.d - 1)
+    dense = np.array([expm(block * t)[0] for t in grid])
+    assert np.max(np.abs(profiles - dense)) <= 1e-9
+    assert profiles[-1].sum() > 0.5
+
+
+@pytest.mark.parametrize("d", [64, 128])
+def test_verify_passes_on_large_birth_death_continuous(d):
+    for seed in (0, 1, 2):
+        chain = random_birth_death_continuous(np.random.default_rng(seed), d)
+        reports = verification_reports(chain)
+        assert "cdf_vs_uniformization" in dict(reports)
+        assert all(report.passed for _, report in reports), reports
+
+
 def test_uniformization_rejects_bad_times(rate2_single):
-    for bad in (-1.0, [0.0, np.nan], [[1.0]], []):
-        with pytest.raises(ValueError):
+    for bad in (-1.0, [0.0, np.nan], [0.0, np.inf], [[1.0]], []):
+        with pytest.raises(RangeError):
             transient_profile(rate2_single, bad)
 
 
