@@ -32,7 +32,6 @@ from .errors import (
     SchemaError,
     SingularSystemError,
     SkipFreeError,
-    SupportMismatchError,
     TailError,
     ValidationError,
 )
@@ -52,7 +51,6 @@ from .oracle import (
     ComparisonReport,
     SamplerConfig,
     cdf_by_uniformization,
-    compare_pmf,
     expected_hitting_times,
     geometric_sum_pmf,
     ks_critical_value,

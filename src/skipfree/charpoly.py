@@ -7,9 +7,9 @@ The central objects are the polynomial sequences
 
 computed coefficient-by-coefficient through one lower-Hessenberg bottom-row
 recurrence for det(x I_n - M_n) (:func:`_charpoly_seq`) rather than by any
-dense determinant; the discrete sequence is its coefficients reversed.  The
-dense route survives as :func:`direct_determinant`, the independent oracle
-the recurrence is verified against.
+dense determinant; the discrete sequence is its coefficients reversed.  Only
+the ``law`` output reads them; ``verify`` holds the stage denominators'
+products against the dense route, :func:`direct_determinant`.
 """
 
 from dataclasses import dataclass

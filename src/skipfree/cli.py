@@ -27,7 +27,6 @@ from .errors import (
     RunawayPathError,
     SchemaError,
     SingularSystemError,
-    SupportMismatchError,
     TailError,
     ValidationError,
 )
@@ -45,7 +44,6 @@ _NUMERIC_FAILURES = (
     PoleError,
     DegenerateSpectrumError,
     InvariantError,
-    SupportMismatchError,
     SingularSystemError,
     RunawayPathError,
 )

@@ -51,10 +51,6 @@ class DegenerateSpectrumError(SkipFreeError):
     """Partial-fraction inversion requested for a near-repeated spectrum."""
 
 
-class SupportMismatchError(SkipFreeError):
-    """Two distribution tables have disjoint supports."""
-
-
 class SingularSystemError(SkipFreeError):
     """Linear system for expected hitting times is singular."""
 

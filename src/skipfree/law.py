@@ -74,19 +74,26 @@ class HittingLaw:
 
     @property
     def leading(self):
-        """p_0...p_{d-1} (discrete) or alpha_0...alpha_{d-1} (continuous)."""
-        return math.prod(self.source.up)
+        """p_0...p_{d-1} resp. alpha_0...alpha_{d-1}; InvariantError outside the double range."""
+        leading = math.prod(self.source.up)
+        if not 0.0 < leading < math.inf:
+            raise InvariantError(f"the up product {leading!r} leaves the double range")
+        return leading
 
     @property
     def denom(self):
         """det(I - s P_{d-1}) resp. det(s I - Q_{d-1}) as a Polynomial.
 
-        Computed from the source chain when read, by the O(d^3) monomial
-        recurrence.  Its coefficients cancel on large chains, so only the
-        ``law`` output reads it.
+        Computed when read, by the O(d^3) monomial recurrence, whose
+        coefficients cancel on large chains; only the ``law`` output reads
+        it.  A coefficient that is not finite raises InvariantError.
         """
         seq = discrete_charpoly_seq if self.kind == "discrete" else continuous_charpoly_seq
-        return seq(self.source)[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = seq(self.source)[-1]
+        if not np.isfinite(denom.coeffs).all():
+            raise InvariantError("a denominator coefficient overflows a double")
+        return denom
 
 
 @dataclass(frozen=True)
@@ -135,12 +142,13 @@ def _passage(law, stage, combine, unit):
 
 
 def _transform(law, s):
-    """The product of the stage transforms psi_n at s, a scalar or 1-D array.
+    """(product of the stage transforms psi_n, stage denominators) at s, a scalar or 1-D array.
 
-    psi_n(s) = up_n z / (step_n(s) - z sum_j down_{n,j} psi_j(s)...psi_{n-1}(s)),
-    with z = s and step_n(s) = 1 - r_n s for a discrete chain, z = 1 and
-    step_n(s) = s + gamma_n for a continuous one.  A stage denominator below
-    POLE_GUARD in modulus raises PoleError.
+    psi_n(s) = up_n z / den_n(s), den_n(s) = step_n(s) - z sum_j down_{n,j} psi_j...psi_{n-1},
+    with z = s and step_n(s) = 1 - r_n s for a discrete chain, z = 1 and step_n(s) = s + gamma_n
+    for a continuous one.  The denominators, of shape (d, points), multiply to the prefix
+    determinants: den_0...den_n = det(I - s P_n) resp. det(s I - Q_n).  A stage denominator
+    below POLE_GUARD in modulus raises PoleError.
     """
     points = np.asarray(s)
     if points.ndim > 1:
@@ -148,6 +156,7 @@ def _transform(law, s):
     points = np.atleast_1d(points).astype(np.result_type(points, float))
     discrete = law.kind == "discrete"
     z = points if discrete else 1.0
+    denominators = []
 
     def stage(up, down, diagonal, below):
         step = 1.0 - diagonal * points if discrete else points - diagonal
@@ -155,10 +164,11 @@ def _transform(law, s):
         near = np.abs(denom).min()
         if near < POLE_GUARD:
             raise PoleError(f"a stage denominator is {near:.3e}; too close to a pole")
+        denominators.append(denom)
         return up * z / denom
 
     value = _passage(law, stage, np.multiply, np.ones_like(points))
-    return value if np.ndim(s) else value[0].item()
+    return (value if np.ndim(s) else value[0].item()), np.array(denominators)
 
 
 def pgf(law, s):
@@ -177,7 +187,7 @@ def pgf(law, s):
     """
     if law.kind != "discrete":
         raise ValueError("pgf is defined for discrete laws only")
-    return _transform(law, s)
+    return _transform(law, s)[0]
 
 
 def laplace(law, s):
@@ -187,7 +197,7 @@ def laplace(law, s):
     """
     if law.kind != "continuous":
         raise ValueError("laplace is defined for continuous laws only")
-    return _transform(law, s)
+    return _transform(law, s)[0]
 
 
 def _pmf_panel(block, exit_prob):
@@ -287,10 +297,11 @@ def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
     """Evaluation grid for continuous tables: ``points`` values on [0, grid_max].
 
     ``grid_max`` defaults to five times the mean absorption time.  Raises
-    RangeError if ``points`` is below 1 or ``grid_max`` is not finite.
+    RangeError if ``points`` is not in 1..MAX_PMF_TERMS, the row cap of the
+    discrete tables, or ``grid_max`` is not finite.
     """
-    if points < 1:
-        raise RangeError(f"grid points must be >= 1, got {points}")
+    if not 1 <= points <= MAX_PMF_TERMS:
+        raise RangeError(f"grid points must be >= 1 and at most {MAX_PMF_TERMS}, got {points}")
     if grid_max is None:
         grid_max = 5.0 * moments(law)[0]
     if not math.isfinite(grid_max):

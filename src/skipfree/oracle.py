@@ -2,10 +2,10 @@
 
 Everything here reaches the absorption law through a route disjoint from the
 charpoly/spectral pipeline: dense vector-matrix iteration, literal path
-enumeration, inversion of the stage transform on the unit circle,
-uniformization of the generator, explicit convolution of phase components,
-and Monte Carlo simulation.  The comparators at the bottom turn pairs of
-tables into pass/fail reports.
+enumeration, inversion of the stage transform and of the geometric phases'
+product on the unit circle, uniformization of the generator, and Monte
+Carlo simulation.  :func:`report_from_errors` turns pointwise errors into
+pass/fail reports, and the KS statistics at the bottom compare samples.
 
 Randomness contract, stream version 2: samplers draw from numpy's Philox
 counter-based bit generator keyed by ``SamplerConfig.seed``, consuming draws
@@ -33,7 +33,6 @@ from .errors import (
     RangeError,
     RunawayPathError,
     SingularSystemError,
-    SupportMismatchError,
 )
 from .law import DistributionTable, pgf
 
@@ -145,22 +144,29 @@ def pmf_by_path_enumeration(chain, n_max):
     )
 
 
+def _invert_on_circle(transform, n_max):
+    """Masses a_1..a_{n_max} of a law on 0, 1, 2, ..., from its PGF ``transform``.
+
+    With K = 2 (n_max + 1), the values of the PGF at the K-th roots of unity
+    are the discrete Fourier transform of the masses folded modulo K (Abate &
+    Whitt 1992), so an inverse real FFT recovers a_n plus the aliased masses
+    a_{n+K}, a_{n+2K}, ..., which sum to at most P(tau > 2 n_max + 2).  Only
+    k = 0..K/2 is evaluated; the other half is the complex conjugate.
+    """
+    points = 2 * (n_max + 1)
+    values = transform(np.exp(2j * np.pi * np.arange(points // 2 + 1) / points))
+    return np.fft.irfft(values.conj(), n=points)[1 : n_max + 1]
+
+
 def pmf_by_transform_inversion(law, n_max):
     """Masses a_1..a_{n_max} of a discrete law, by inverting its PGF on the unit circle.
 
-    With K = 2 (n_max + 1), the values of :func:`~skipfree.law.pgf` at the
-    K-th roots of unity are the discrete Fourier transform of the masses
-    folded modulo K (Abate & Whitt 1992), so an inverse real FFT recovers
-    a_n plus the aliased masses a_{n+K}, a_{n+2K}, ..., which sum to at most
-    P(tau > 2 n_max + 2).  Only k = 0..K/2 is evaluated; the other half is
-    the complex conjugate.  The transform is the stage-ratio product, so
-    this route shares nothing with the block iteration of ``pmf_table``.
+    The PGF is the stage-ratio product of :func:`~skipfree.law.pgf`, which shares nothing
+    with the block iteration of ``pmf_table``; :func:`_invert_on_circle` bounds the aliasing.
     """
     if law.kind != "discrete":
         raise ValueError("pmf_by_transform_inversion is defined for discrete laws only")
-    points = 2 * (n_max + 1)
-    values = pgf(law, np.exp(2j * np.pi * np.arange(points // 2 + 1) / points))
-    return np.fft.irfft(values.conj(), n=points)[1 : n_max + 1]
+    return _invert_on_circle(lambda z: pgf(law, z), n_max)
 
 
 def _step_matrix(onestep, rate, gap, tol):
@@ -191,6 +197,8 @@ def _step_matrix(onestep, rate, gap, tol):
         step += term
     step *= math.exp(-mu)
     for _ in range(squarings):
+        if not step.any():  # underflowed to zero, which squaring keeps
+            break
         step = step @ step
     return step
 
@@ -354,18 +362,6 @@ def sample_hitting_times(chain, cfg, stop_level=None):
     return result
 
 
-def compare_pmf(analytic, oracle, threshold):
-    """Pointwise comparison of two tables over their common support."""
-    idx_a = {n: i for i, n in enumerate(analytic.support)}
-    shared = [(idx_a[n], j) for j, n in enumerate(oracle.support) if n in idx_a]
-    if not shared:
-        raise SupportMismatchError("tables have disjoint supports")
-    errors = [
-        analytic.mass_or_density[i] - oracle.mass_or_density[j] for i, j in shared
-    ]
-    return report_from_errors(errors, threshold)
-
-
 def expected_hitting_times(chain):
     """Mean absorption times from each transient state, by first-step analysis.
 
@@ -383,21 +379,21 @@ def expected_hitting_times(chain):
 
 
 def geometric_sum_pmf(params, length):
-    """PMF of a sum of independent geometric variables, by convolution.
+    """PMF of a sum of independent geometric variables, by inversion on the unit circle.
 
-    ``params`` are success probabilities theta_i; each component has mass
-    theta (1-theta)^{n-1} on n >= 1 (theta = 1 degenerates to a unit point
-    mass, so repeated and zero eigenvalues need no special handling).
-    Returns masses for n = 1..length.
+    ``params`` are success probabilities theta_i in (0, 1]; each component has
+    mass theta (1-theta)^{n-1} on n >= 1 and PGF theta z / ((1 - z) + theta z),
+    so theta = 1 is a unit point mass.  Returns masses for n = 1..length,
+    aliased as :func:`_invert_on_circle` says.
     """
-    out = np.zeros(length + 1)
-    out[0] = 1.0  # empty sum: unit mass at 0
-    for theta in params:
-        component = np.zeros(length + 1)
-        n = np.arange(1, length + 1)
-        component[1:] = theta * (1.0 - theta) ** (n - 1)
-        out = np.convolve(out, component)[: length + 1]
-    return out[1:]
+
+    def transform(z):
+        value = np.ones_like(z)
+        for theta in params:
+            value *= theta * z / ((1.0 - z) + theta * z)
+        return value
+
+    return _invert_on_circle(transform, length)
 
 
 def ks_two_sample(a, b):

@@ -166,6 +166,21 @@ def test_invariant_failure_on_valid_chain_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "generator,message",
+    [
+        (random_continuous_chain, "a denominator coefficient overflows a double"),
+        (random_discrete_chain, "the up product 0.0 leaves the double range"),
+    ],
+)
+def test_law_past_the_double_range_exits_2(tmp_path, generator, message):
+    wide = tmp_path / "d256.json"
+    wide.write_text(serialize_chain(generator(np.random.default_rng(0), 256)))
+    proc = _cli_subprocess("law", wide)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: numerical failure: {message}\n"
+
+
 def test_parser_defaults_are_run_config_defaults():
     from skipfree.cli import COMMANDS, build_parser, config_from_args
 
@@ -247,6 +262,8 @@ def test_csv_round_trip_is_exact():
          "grid_max must be finite"),
         (["pdf", "d2_coupled_rates.json", "--grid-max", "inf", "--method", "uniformization"],
          "grid_max must be finite"),
+        (["pdf", "d2_coupled_rates.json", "--grid-points", "1000001"],
+         "grid points must be >= 1 and at most 1000000"),
     ],
 )
 def test_option_out_of_range_exits_1_without_traceback(argv, message):

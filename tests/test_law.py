@@ -37,7 +37,7 @@ from skipfree.corpus import (
     random_continuous_chain,
     random_discrete_chain,
 )
-from skipfree.law import PMF_BLOCK
+from skipfree.law import MAX_PMF_TERMS, PMF_BLOCK, default_grid
 from tests.conftest import CHAIN_DIR, GOLDEN_DIR
 
 
@@ -302,6 +302,14 @@ def test_pdf_cdf_grid_validation(rates12_pure_birth):
                 pdf_cdf_table(law, bad, method=method)
 
 
+def test_default_grid_points_stop_at_the_table_row_cap(rates12_pure_birth):
+    law = build_law(rates12_pure_birth)
+    assert default_grid(law, MAX_PMF_TERMS, 1.0).size == MAX_PMF_TERMS
+    for bad in (0, MAX_PMF_TERMS + 1, 10**9):
+        with pytest.raises(RangeError, match="grid points must be >= 1 and at most"):
+            default_grid(law, bad, 1.0)
+
+
 def test_pdf_default_grid_integrates_to_one(rates12_pure_birth):
     from scipy.integrate import simpson
 
@@ -358,7 +366,7 @@ def test_phase_representation(d1_geometric, d2_mixed, rates11_coupled):
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 7))
 def test_phase_parameters_reproduce_pmf_by_convolution(seed, d):
     chain = random_birth_death_discrete(np.random.default_rng(seed), d)
-    assume(desk_scale(chain, 50.0))  # convolution cost is quadratic in table length
+    assume(desk_scale(chain, 50.0))  # keeps the PMF table short
     law = build_law(chain)
     params = phase_representation(law)
     assert not isinstance(params, NotApplicable)

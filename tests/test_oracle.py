@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from skipfree import (
     ContinuousChain,
     DiscreteChain,
-    DistributionTable,
     RangeError,
     RunawayPathError,
     SamplerConfig,
-    SupportMismatchError,
     cdf_by_uniformization,
-    compare_pmf,
     expected_hitting_times,
     ks_critical_value,
     ks_two_sample,
@@ -31,7 +28,7 @@ from skipfree.corpus import (
     random_discrete_chain,
 )
 from skipfree.oracle import GUIDE_BUCKETS, _guide_table, _jump_keys
-from skipfree.verify import verification_reports
+from skipfree.verify import PRODUCT_THRESHOLD, _product_identity, verification_reports
 
 
 def test_matrix_power_geometric(d1_geometric):
@@ -121,13 +118,33 @@ def test_uniformization_at_long_times():
     assert profiles[-1].sum() > 0.5
 
 
-@pytest.mark.parametrize("d", [64, 128])
-def test_verify_passes_on_large_birth_death_continuous(d):
+@pytest.mark.parametrize(
+    "family,d,oracle_check",
+    [
+        pytest.param(random_birth_death_continuous, 64, "cdf_vs_uniformization", id="64"),
+        pytest.param(random_birth_death_continuous, 128, "cdf_vs_uniformization", id="128"),
+        pytest.param(random_birth_death_discrete, 64, "pmf_vs_geometric_convolution",
+                     id="discrete-64"),
+        pytest.param(random_birth_death_discrete, 128, "pmf_vs_geometric_convolution",
+                     id="discrete-128"),
+    ],
+)
+def test_verify_passes_on_large_birth_death_continuous(family, d, oracle_check):
     for seed in (0, 1, 2):
-        chain = random_birth_death_continuous(np.random.default_rng(seed), d)
+        chain = family(np.random.default_rng(seed), d)
         reports = verification_reports(chain)
-        assert "cdf_vs_uniformization" in dict(reports)
+        assert oracle_check in dict(reports)
         assert all(report.passed for _, report in reports), reports
+
+
+@pytest.mark.filterwarnings("error")
+def test_product_identity_past_the_double_range_fails_without_warning():
+    chain = ContinuousChain(d=2, up=[1.0, 1.0], down=[[], [0.0]])
+    for factors in ([1e300, 1e300], [1e300 + 0j, 1e300 - 0j]):
+        report = _product_identity(np.array(factors), chain)
+        assert not report.passed and report.max_abs_err == math.inf
+    close = _product_identity(np.array([2.0, 0.5 * (1.0 + PRODUCT_THRESHOLD / 2)]), chain)
+    assert close.passed and close.max_abs_err == pytest.approx(PRODUCT_THRESHOLD / 2)
 
 
 def test_uniformization_rejects_bad_times(rate2_single):
@@ -310,19 +327,6 @@ def test_sampler_rejects_bad_levels(d2_mixed):
         sample_hitting_times(d2_mixed, SamplerConfig(seed=0, paths=1), stop_level=3)
     with pytest.raises(ValueError):
         SamplerConfig(seed=0, paths=0)
-
-
-def test_compare_pmf_reports():
-    a = DistributionTable((1, 2, 3), (0.5, 0.25, 0.125), (0.5, 0.75, 0.875), 0.125)
-    same = compare_pmf(a, a, threshold=1e-9)
-    assert same.passed and same.max_abs_err == 0.0 and same.n_points == 3
-    shifted = DistributionTable((2, 3, 4), (0.5, 0.25, 0.125), (0.5, 0.75, 0.875), 0.125)
-    report = compare_pmf(a, shifted, threshold=1e-9)
-    assert not report.passed
-    assert report.max_abs_err == pytest.approx(0.25)
-    disjoint = DistributionTable((9, 10), (0.5, 0.5), (0.5, 1.0), 0.0)
-    with pytest.raises(SupportMismatchError):
-        compare_pmf(a, disjoint, threshold=1e-9)
 
 
 def test_expected_hitting_times_worked(d1_geometric, d2_mixed, rates12_pure_birth):
