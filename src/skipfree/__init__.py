@@ -5,8 +5,8 @@ Build a chain, then a law, then evaluate:
     >>> from skipfree import parse_chain, build_law, pmf_table
     >>> chain = parse_chain('{"type":"discrete","d":1,"rows":[{"r":0.5,"p":0.5}]}')
     >>> law = build_law(chain)
-    >>> pmf_table(law).mass_or_density[:3]
-    (0.5, 0.25, 0.125)
+    >>> pmf_table(law).mass_or_density[:3].tolist()
+    [0.5, 0.25, 0.125]
 """
 
 from .chains import (

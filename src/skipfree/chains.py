@@ -5,8 +5,8 @@ time; downward jumps are unrestricted.  State d is absorbing and is never
 stored explicitly: a discrete chain keeps, per transient state i, the hold
 probability r_i, the up probability p_i and the down-jump row q_{i,j}
 (j < i); a continuous chain keeps the up rate alpha_i and the down-jump
-rates beta_{i,j}.  Rows are stored sparsely; dense matrices exist only
-where :func:`transient_block` materializes one.
+rates beta_{i,j}.  Rows are stored sparsely; the dense transient block is
+materialized once per chain, by the first call to :func:`transient_block`.
 """
 
 import json
@@ -20,13 +20,21 @@ from .errors import RangeError, SchemaError, ValidationError
 ROW_SUM_TOL = 1e-12
 
 
+def _fields_only(chain):
+    """Pickle and copy state: the fields, without the block :func:`transient_block` keeps.
+
+    A copied block would come back writable; the copy builds its own instead.
+    """
+    return {k: v for k, v in chain.__dict__.items() if k != "_block"}
+
+
 def _as_down_rows(down, d):
     """Normalize a down-jump table into a tuple of row tuples, row i of length i."""
     if down is None:
         return tuple(tuple(0.0 for _ in range(i)) for i in range(d))
     rows = []
     for i, row in enumerate(down):
-        row = tuple(float(x) for x in row)
+        row = tuple(map(float, row))
         if len(row) != i:
             raise ValidationError(f"down-jump row {i} must have length {i}, got {len(row)}", row=i)
         rows.append(row)
@@ -64,8 +72,8 @@ class DiscreteChain:
         d = int(self.d)
         if d < 1:
             raise ValidationError(f"d must be a positive integer, got {self.d}")
-        hold = tuple(float(x) for x in self.hold)
-        up = tuple(float(x) for x in self.up)
+        hold = tuple(map(float, self.hold))
+        up = tuple(map(float, self.up))
         if len(hold) != d or len(up) != d:
             raise ValidationError(
                 f"need exactly d={d} hold and up entries, got {len(hold)} and {len(up)}"
@@ -78,7 +86,7 @@ class DiscreteChain:
         for i in range(d):
             entries = (hold[i], up[i]) + down[i]
             for x in entries:
-                if not (0.0 <= x <= 1.0) or not math.isfinite(x):
+                if not 0.0 <= x <= 1.0:  # NaN and inf fail this too
                     raise ValidationError(f"row {i} has entry {x} outside [0,1]", row=i)
             if up[i] <= 0.0:
                 raise ValidationError(f"row {i}: up probability must be > 0, got {up[i]}", row=i)
@@ -87,6 +95,8 @@ class DiscreteChain:
                 raise ValidationError(
                     f"row {i} sums to 1{residual:+.3e}", row=i, residual=residual
                 )
+
+    __getstate__ = _fields_only
 
     @property
     def kind(self):
@@ -118,7 +128,7 @@ class ContinuousChain:
         d = int(self.d)
         if d < 1:
             raise ValidationError(f"d must be a positive integer, got {self.d}")
-        up = tuple(float(x) for x in self.up)
+        up = tuple(map(float, self.up))
         if len(up) != d:
             raise ValidationError(f"need exactly d={d} up rates, got {len(up)}")
         down = _as_down_rows(self.down, d)
@@ -137,6 +147,8 @@ class ContinuousChain:
         """Total exit rates gamma_i = alpha_i + sum_j beta_{i,j}."""
         return tuple(self.up[i] + math.fsum(self.down[i]) for i in range(self.d))
 
+    __getstate__ = _fields_only
+
     @property
     def kind(self):
         return "continuous"
@@ -153,16 +165,21 @@ def _require_keys(obj, required, optional, where):
         raise SchemaError(f"{where} has unknown field(s): {', '.join(extra)}")
 
 
-def _number(x, where):
+def _number(x, where, index=None):
+    """float(x) for a JSON number; the error names ``where``, and ``[index]`` when given."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(f"{where} must be a number, got {type(x).__name__}")
+        at = where if index is None else f"{where}[{index}]"
+        raise SchemaError(f"{at} must be a number, got {type(x).__name__}")
     return float(x)
 
 
 def _number_list(x, where):
+    """The entries of a JSON array of numbers; the chain constructors convert them to float."""
     if not isinstance(x, list):
         raise SchemaError(f"{where} must be an array")
-    return [_number(v, f"{where}[{j}]") for j, v in enumerate(x)]
+    if {float, int}.issuperset(map(type, x)):  # plain numbers, no bool: one pass in C
+        return x
+    return [_number(v, where, j) for j, v in enumerate(x)]
 
 
 def parse_chain(text):
@@ -251,7 +268,10 @@ def transient_block(chain, n):
 
     Returns P_n for a discrete chain or Q_n for a continuous chain, as a
     dense lower-Hessenberg ndarray: entry (i, i+1) is p_i (resp. alpha_i)
-    and everything above the superdiagonal is zero.
+    and everything above the superdiagonal is zero.  The whole block is
+    built on the chain's first call and kept on the instance (not a field,
+    so equality, hash and repr ignore it); every call returns a read-only
+    view of it.
 
     Raises
     ------
@@ -260,11 +280,16 @@ def transient_block(chain, n):
     """
     if not 0 <= n <= chain.d - 1:
         raise RangeError(f"n must be in 0..{chain.d - 1}, got {n}")
-    m = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        m[i, :i] = chain.down[i]
-    diagonal = chain.hold if isinstance(chain, DiscreteChain) else [-g for g in chain.gamma]
-    m.flat[:: n + 2] = diagonal[: n + 1]
-    m.flat[1 :: n + 2] = chain.up[:n]
-    return m
-
+    block = chain.__dict__.get("_block")
+    if block is None:
+        d = chain.d
+        block = np.zeros((d, d))
+        for i in range(1, d):
+            block[i, :i] = chain.down[i]
+        diagonal = chain.hold if isinstance(chain, DiscreteChain) else [-g for g in chain.gamma]
+        block.flat[:: d + 1] = diagonal
+        block.flat[1 :: d + 1] = chain.up[: d - 1]
+        block.flags.writeable = False
+        # two threads racing here store equal arrays, so either may win
+        chain.__dict__["_block"] = block
+    return block[: n + 1, : n + 1]

@@ -110,12 +110,17 @@ def direct_determinant(matrix, s, kind):
     points = points.astype(np.result_type(points, float))
     if points.ndim > 1:
         raise ValueError("s must be a scalar or a 1-D array of points")
-    stacked = np.atleast_1d(points)[:, None, None]
-    eye = np.eye(m.shape[0])
+    at = np.atleast_1d(points)
+    n = m.shape[0]
+    # one (points, n, n) buffer: -s M (resp. -M) with 1 (resp. s) added to each diagonal
     if kind == "discrete":
-        dets = np.linalg.det(eye - stacked * m)
+        matrices = at[:, None, None] * -m
+        matrices.reshape(at.size, n * n)[:, :: n + 1] += 1.0
     elif kind == "continuous":
-        dets = np.linalg.det(stacked * eye - m)
+        matrices = np.empty((at.size, n, n), dtype=at.dtype)
+        matrices[:] = -m
+        matrices.reshape(at.size, n * n)[:, :: n + 1] += at[:, None]
     else:
         raise ValueError(f'kind must be "discrete" or "continuous", got {kind!r}')
+    dets = np.linalg.det(matrices)
     return dets if points.ndim else dets[0].item()

@@ -87,10 +87,10 @@ def _cell(x):
 
 
 def _histogram_lines(table):
-    masses = np.asarray(table.mass_or_density, dtype=float)
+    masses = table.mass_or_density
     top = masses.max() if masses.size else 0.0
     lines = []
-    for label, m in zip(table.support, masses):
+    for label, m in zip(table.support.tolist(), masses.tolist()):
         width = 0 if top <= 0.0 else int(round(HISTOGRAM_COLUMNS * m / top))
         lines.append(f"{_cell(label):>12} |{'#' * width}")
     return lines
@@ -98,17 +98,20 @@ def _histogram_lines(table):
 
 def emit_table(table, output_format="csv", histogram=False):
     """Render a DistributionTable as a CSV or JSON document string."""
+    support, masses, cumulative = (
+        table.support.tolist(), table.mass_or_density.tolist(), table.cumulative.tolist()
+    )
     if output_format == "json":
         doc = {
-            "support": list(table.support),
-            "mass_or_density": list(table.mass_or_density),
-            "cumulative": list(table.cumulative),
+            "support": support,
+            "mass_or_density": masses,
+            "cumulative": cumulative,
             "tail_bound": table.tail_bound,
         }
         text = json.dumps(doc, indent=2)
     else:
         lines = ["n_or_t,mass_or_density,cumulative"]
-        for n, m, c in zip(table.support, table.mass_or_density, table.cumulative):
+        for n, m, c in zip(support, masses, cumulative):
             lines.append(f"{_cell(n)},{_f17(m)},{_f17(c)}")
         text = "\n".join(lines)
     if histogram:
@@ -126,9 +129,9 @@ def parse_table_csv(text):
             return float(token)
 
     rows = [line.split(",") for line in text.strip().splitlines()[1:] if line]
-    support = tuple(cell(r[0]) for r in rows)
-    masses = tuple(float(r[1]) for r in rows)
-    cum = tuple(float(r[2]) for r in rows)
+    support = [cell(r[0]) for r in rows]
+    masses = [float(r[1]) for r in rows]
+    cum = [float(r[2]) for r in rows]
     return DistributionTable(support=support, mass_or_density=masses, cumulative=cum, tail_bound=0.0)
 
 

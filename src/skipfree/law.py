@@ -96,14 +96,27 @@ class HittingLaw:
         return denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Tabulated mass/density values with running cumulative and tail bound."""
+    """Tabulated mass/density values with running cumulative and tail bound.
 
-    support: tuple
-    mass_or_density: tuple
-    cumulative: tuple
+    ``support``, ``mass_or_density`` and ``cumulative`` are read-only 1-D
+    ndarrays of equal length, whatever sequences the constructor was given:
+    the int64 step counts 1..n of a PMF table, or the float64 grid of a
+    continuous one, with float64 values.  Arrays have no truth value, so
+    tables compare by identity; compare their fields with ``np.array_equal``.
+    """
+
+    support: np.ndarray
+    mass_or_density: np.ndarray
+    cumulative: np.ndarray
     tail_bound: float
+
+    def __post_init__(self):
+        for name in ("support", "mass_or_density", "cumulative"):
+            view = np.asarray(getattr(self, name)).view()
+            view.setflags(write=False)  # the view only: a caller's own array stays writable
+            object.__setattr__(self, name, view)
 
 
 @dataclass(frozen=True)
@@ -262,9 +275,9 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
                 break
             masses = np.concatenate(blocks + [out[:stop]])
             return DistributionTable(
-                support=tuple(range(1, masses.size + 1)),
-                mass_or_density=tuple(masses.tolist()),
-                cumulative=tuple(np.cumsum(masses).tolist()),
+                support=np.arange(1, masses.size + 1, dtype=np.int64),
+                mass_or_density=masses,
+                cumulative=np.cumsum(masses),
                 tail_bound=float(out[PMF_BLOCK + stop - 1]),
             )
         blocks.append(out[:PMF_BLOCK])
@@ -334,7 +347,7 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
         raise ValueError(f"unknown method {method!r}")
     if grid is None:
         grid = default_grid(law)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)  # a copy, which the table keeps as its support
     valid = grid.size and np.all(np.isfinite(grid) & (grid >= 0.0))
     if not valid or np.any(np.diff(grid) < 0.0):
         raise RangeError("grid must be nonempty, finite, sorted and nonnegative")
@@ -366,12 +379,7 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
         cdf = 1.0 - occupancy.sum(axis=1)
 
     tail = max(0.0, 1.0 - float(cdf[-1]))
-    return DistributionTable(
-        support=tuple(float(t) for t in grid),
-        mass_or_density=tuple(float(x) for x in density),
-        cumulative=tuple(float(x) for x in cdf),
-        tail_bound=tail,
-    )
+    return DistributionTable(support=grid, mass_or_density=density, cumulative=cdf, tail_bound=tail)
 
 
 def moments(law):

@@ -49,6 +49,8 @@ class SamplerConfig:
     start_state: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**128:  # the range of a Philox key
+            raise RangeError(f"seed must be in 0..2**128-1, got {self.seed}")
         if self.paths < 1:
             raise RangeError(f"paths must be >= 1, got {self.paths}")
 
@@ -81,6 +83,17 @@ def report_from_errors(errors, threshold):
     )
 
 
+def _pmf_table(masses):
+    """The table of masses on 1..n, whose tail bound is the mass they miss."""
+    cum = np.cumsum(masses)
+    return DistributionTable(
+        support=np.arange(1, cum.size + 1, dtype=np.int64),
+        mass_or_density=masses,
+        cumulative=cum,
+        tail_bound=max(0.0, 1.0 - float(cum[-1])),
+    )
+
+
 def pmf_by_matrix_power(chain, n_max):
     """Absorption-time PMF by transient vector-matrix iteration.
 
@@ -100,13 +113,7 @@ def pmf_by_matrix_power(chain, n_max):
     for n in range(n_max):
         masses[n] = v[-1] * exit_prob
         v = v @ block
-    cum = np.cumsum(masses)
-    return DistributionTable(
-        support=tuple(range(1, n_max + 1)),
-        mass_or_density=tuple(masses),
-        cumulative=tuple(cum),
-        tail_bound=max(0.0, 1.0 - float(cum[-1])),
-    )
+    return _pmf_table(masses)
 
 
 def pmf_by_path_enumeration(chain, n_max):
@@ -135,13 +142,7 @@ def pmf_by_path_enumeration(chain, n_max):
             walk(nxt, step + 1, prob * p)
 
     walk(0, 0, 1.0)
-    cum = np.cumsum(masses)
-    return DistributionTable(
-        support=tuple(range(1, n_max + 1)),
-        mass_or_density=tuple(masses),
-        cumulative=tuple(cum),
-        tail_bound=max(0.0, 1.0 - float(cum[-1])),
-    )
+    return _pmf_table(masses)
 
 
 def _invert_on_circle(transform, n_max):

@@ -66,11 +66,6 @@ def _build_spectrum(values, tol):
     return Spectrum(values=ordered, classification=cls, tolerance_used=tol)
 
 
-def _birth_death(chain):
-    """True iff every down jump goes to the state directly below."""
-    return all(x == 0.0 for row in chain.down for x in row[:-1])
-
-
 def _block_eigenvalues(chain):
     """Eigenvalues of the transient block P_{d-1} (resp. Q_{d-1}) by LAPACK.
 
@@ -82,10 +77,11 @@ def _block_eigenvalues(chain):
     """
     m = transient_block(chain, chain.d - 1)
     try:
-        if not _birth_death(chain):
+        if np.tril(m, -2).any():  # a down jump past the state directly below
             return np.linalg.eigvals(m)
-        off = np.sqrt(np.diagonal(m, 1) * np.diagonal(m, -1))
-        sym = np.diag(np.diagonal(m)) + np.diag(off, 1) + np.diag(off, -1)
+        # eigvalsh reads only the lower triangle, here the diagonal and the subdiagonal
+        sym = m.copy()
+        sym.flat[chain.d :: chain.d + 1] = np.sqrt(np.diagonal(m, 1) * np.diagonal(m, -1))
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solver did not converge: {exc}") from exc

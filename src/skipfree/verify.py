@@ -11,7 +11,7 @@ scripts are thin wrappers over :func:`verification_reports`.
 import numpy as np
 
 from .chains import DiscreteChain, transient_block
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, RangeError
 from .charpoly import direct_determinant
 from .law import (
     NotApplicable,
@@ -67,8 +67,11 @@ def verification_reports(chain, seed=0, s_points=20):
 
     Returns an ordered list of (check name, ComparisonReport).  Checks that
     need a special spectrum (geometric phases, hypoexponential CDF)
-    are emitted only when the spectrum qualifies.
+    are emitted only when the spectrum qualifies.  Raises RangeError if
+    ``seed`` is negative.
     """
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     law = build_law(chain)
     discrete = isinstance(chain, DiscreteChain)

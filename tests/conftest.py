@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from skipfree import ContinuousChain, DiscreteChain
@@ -7,6 +8,14 @@ from skipfree import ContinuousChain, DiscreteChain
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CHAIN_DIR = REPO / "chains"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def same_table(a, b):
+    """True iff two DistributionTables hold equal values; tables compare by identity."""
+    return a.tail_bound == b.tail_bound and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("support", "mass_or_density", "cumulative")
+    )
 
 
 @pytest.fixture

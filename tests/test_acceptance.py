@@ -47,7 +47,7 @@ from skipfree.corpus import (
     random_discrete_chain,
 )
 from skipfree.oracle import report_from_errors
-from tests.conftest import CHAIN_DIR, GOLDEN_DIR
+from tests.conftest import CHAIN_DIR, GOLDEN_DIR, same_table
 
 
 def _corpus(generator, n, d_range, seed, accept=lambda chain: True):
@@ -230,5 +230,5 @@ def test_criterion_8_cli_verify_and_goldens():
         assert proc.returncode == 0
         emitted = parse_table_csv(proc.stdout)
         golden = parse_table_csv((GOLDEN_DIR / golden_name).read_text())
-        assert emitted == golden  # equality of parsed doubles: 17-digit normalization
+        assert same_table(emitted, golden)  # equality of parsed doubles: 17-digit normalization
     print("\nPASS criterion 8: CLI verify exits 0 on all example chains; goldens match")

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ def test_transient_block_equals_per_entry_reference(make, d):
             if i < n:
                 expected[i, i + 1] = chain.up[i]
         assert np.array_equal(transient_block(chain, n), expected)
+    # built once per chain: every call is a read-only view of the same buffer
+    first, again = transient_block(chain, d - 1), transient_block(chain, 0)
+    assert np.shares_memory(first, again)
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    # a copy leaves the block behind and builds its own, read-only again
+    copied = pickle.loads(pickle.dumps(chain))
+    assert copied == chain and "_block" not in vars(copied)
+    assert np.array_equal(transient_block(copied, d - 1), first)
+    assert not transient_block(copied, d - 1).flags.writeable
 
 
 def test_transient_block_range(d2_mixed):

@@ -21,7 +21,7 @@ from skipfree import (
 )
 from skipfree.corpus import random_continuous_chain, random_discrete_chain
 from skipfree.cli import RunConfig, emit_table, parse_table_csv, run
-from tests.conftest import CHAIN_DIR, GOLDEN_DIR
+from tests.conftest import CHAIN_DIR, GOLDEN_DIR, same_table
 
 
 def run_cli(capsys, command, path, **overrides):
@@ -87,16 +87,14 @@ def test_pmf_golden_d1(capsys):
     golden = (GOLDEN_DIR / "d1_geometric_pmf.csv").read_text()
     ours = parse_table_csv(out)
     theirs = parse_table_csv(golden)
-    assert ours.support == theirs.support
-    assert ours.mass_or_density == theirs.mass_or_density  # 17-digit round trip is exact
-    assert ours.cumulative == theirs.cumulative
+    assert same_table(ours, theirs)  # 17-digit round trip is exact
 
 
 def test_pmf_golden_d2(capsys):
     code, out, _ = run_cli(capsys, "pmf", CHAIN_DIR / "d2_mixed.json")
     golden = parse_table_csv((GOLDEN_DIR / "d2_mixed_pmf.csv").read_text())
     ours = parse_table_csv(out)
-    assert ours == golden
+    assert same_table(ours, golden)
     row3 = dict(zip(ours.support, zip(ours.mass_or_density, ours.cumulative)))[3]
     assert row3[0] == pytest.approx(0.16, rel=1e-12)
     assert row3[1] == pytest.approx(0.48, rel=1e-12)
@@ -243,9 +241,7 @@ def test_csv_round_trip_is_exact():
     masses = tuple(rng.random(20))
     table = DistributionTable(tuple(range(1, 21)), masses, tuple(np.cumsum(masses)), 0.0)
     back = parse_table_csv(emit_table(table, "csv"))
-    assert back.support == table.support
-    assert back.mass_or_density == table.mass_or_density
-    assert back.cumulative == table.cumulative
+    assert same_table(back, table)
 
 
 @pytest.mark.parametrize(
@@ -264,6 +260,9 @@ def test_csv_round_trip_is_exact():
          "grid_max must be finite"),
         (["pdf", "d2_coupled_rates.json", "--grid-points", "1000001"],
          "grid points must be >= 1 and at most 1000000"),
+        (["sample", "d1_geometric.json", "--seed", "-1"], "seed must be in 0..2**128-1"),
+        (["sample", "d1_geometric.json", "--seed", str(2**128)], "seed must be in 0..2**128-1"),
+        (["verify", "d1_geometric.json", "--seed", "-5"], "seed must be >= 0"),
     ],
 )
 def test_option_out_of_range_exits_1_without_traceback(argv, message):

@@ -25,6 +25,7 @@ from skipfree import (
     pgf,
     phase_representation,
     pmf_by_matrix_power,
+    pmf_by_path_enumeration,
     pmf_by_transform_inversion,
     pmf_table,
     transient_block,
@@ -116,8 +117,8 @@ def test_pmf_worked_chain(d2_mixed):
 
 def test_pmf_pure_birth_point_mass(d3_pure_birth):
     table = pmf_table(build_law(d3_pure_birth))
-    assert table.support == (1, 2, 3)
-    assert table.mass_or_density == (0.0, 0.0, 1.0)
+    assert table.support.tolist() == [1, 2, 3]
+    assert table.mass_or_density.tolist() == [0.0, 0.0, 1.0]
     assert table.tail_bound == 0.0
 
 
@@ -286,6 +287,29 @@ def test_pdf_cdf_erlang_routes_to_uniformization(rates11_erlang):
     assert table.mass_or_density[0] == pytest.approx(math.exp(-1), abs=1e-9)
     with pytest.raises(DegenerateSpectrumError):
         pdf_cdf_table(law, [1.0], method="partial_fractions")
+
+
+def test_table_fields_are_read_only_arrays(d2_mixed, rates12_pure_birth):
+    grid = np.array([0.0, 0.5, 1.0])
+    law = build_law(rates12_pure_birth)
+    continuous = [pdf_cdf_table(law, grid, method=m) for m in ("partial_fractions", "uniformization")]
+    discrete = [
+        pmf_table(build_law(d2_mixed)),
+        pmf_by_matrix_power(d2_mixed, 4),
+        pmf_by_path_enumeration(d2_mixed, 4),
+        parse_table_csv("n_or_t,mass_or_density,cumulative\n1,0.5,0.5\n2,0.25,0.75"),
+    ]
+    for tables, support_dtype in ((discrete, np.int64), (continuous, np.float64)):
+        for table in tables:
+            fields = (table.support, table.mass_or_density, table.cumulative)
+            assert [f.dtype for f in fields] == [support_dtype, np.float64, np.float64]
+            for field in fields:
+                assert field.ndim == 1 and field.size == table.support.size
+                with pytest.raises(ValueError):
+                    field[0] = 0.5
+    # the table copies the grid: the caller's array stays theirs, writable
+    grid[0] = 0.25
+    assert continuous[0].support.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_pdf_cdf_grid_validation(rates12_pure_birth):

@@ -43,7 +43,7 @@ def test_matrix_power_worked_chain(d2_mixed):
 
 def test_matrix_power_pure_birth(d3_pure_birth):
     table = pmf_by_matrix_power(d3_pure_birth, 5)
-    assert table.mass_or_density == (0.0, 0.0, 1.0, 0.0, 0.0)
+    assert table.mass_or_density.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
     assert table.tail_bound == 0.0
 
 
