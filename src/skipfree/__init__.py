@@ -25,7 +25,9 @@ from .charpoly import (
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
+    InputError,
     InvariantError,
+    NumericalError,
     PoleError,
     RangeError,
     RunawayPathError,
@@ -38,7 +40,6 @@ from .errors import (
 from .law import (
     DistributionTable,
     HittingLaw,
-    NotApplicable,
     build_law,
     laplace,
     moments,

@@ -5,8 +5,9 @@ moments, sample or verify, each taking a chain-spec JSON file and emitting
 a CSV or JSON document on stdout (or ``--out``).  All numbers render with
 17 significant digits so emitted doubles reconstruct bit-faithfully.
 
-Exit codes: 0 success, 1 validation/schema failure, 2 numerical failure,
-3 I/O failure.  Diagnostics go to stderr.
+Exit codes: 0 success, 1 invalid input (an :class:`InputError`), 2
+numerical failure (a :class:`NumericalError`, or a failed ``verify``), 3 I/O
+failure.  Diagnostics go to stderr.
 """
 
 import argparse
@@ -17,20 +18,9 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import law as law_mod
-from .chains import ContinuousChain, parse_chain
-from .errors import (
-    ConvergenceError,
-    DegenerateSpectrumError,
-    InvariantError,
-    PoleError,
-    RangeError,
-    RunawayPathError,
-    SchemaError,
-    SingularSystemError,
-    TailError,
-    ValidationError,
-)
-from .law import DistributionTable, NotApplicable
+from .chains import parse_chain
+from .errors import InputError, NumericalError
+from .law import DistributionTable
 from .oracle import SamplerConfig, sample_hitting_times
 from .spectral import DEFAULT_REAL_TOL
 from .verify import verification_reports
@@ -38,15 +28,9 @@ from .verify import verification_reports
 COMMANDS = ("validate", "spectrum", "law", "pmf", "pdf", "cdf", "moments", "sample", "verify")
 HISTOGRAM_COLUMNS = 60
 
-_NUMERIC_FAILURES = (
-    ConvergenceError,
-    TailError,
-    PoleError,
-    DegenerateSpectrumError,
-    InvariantError,
-    SingularSystemError,
-    RunawayPathError,
-)
+# the commands that build the chain's law, and those of them that print its table
+_LAW_COMMANDS = ("spectrum", "law", "moments", "pmf", "pdf", "cdf")
+_TABLE_COMMANDS = ("pmf", "pdf", "cdf")
 
 
 @dataclass(frozen=True)
@@ -164,7 +148,7 @@ def _doc_spectrum(spectrum, fmt):
 
 def _doc_law(law, fmt):
     phases = law_mod.phase_representation(law)
-    phase_field = None if isinstance(phases, NotApplicable) else list(phases)
+    phase_field = None if phases is None else list(phases)
     if fmt == "json":
         return json.dumps(
             {
@@ -245,26 +229,22 @@ def run(config):
         chain = parse_chain(text)
         fmt = config.output_format
         cmd = config.command
+        if cmd in _LAW_COMMANDS:
+            law = law_mod.build_law(chain, tol=config.tol)
         if cmd == "validate":
             document = _doc_validate(chain, fmt)
         elif cmd == "spectrum":
-            law = law_mod.build_law(chain, tol=config.tol)
             document = _doc_spectrum(law.spectrum, fmt)
         elif cmd == "law":
-            document = _doc_law(law_mod.build_law(chain, tol=config.tol), fmt)
+            document = _doc_law(law, fmt)
         elif cmd == "moments":
-            document = _doc_moments(law_mod.build_law(chain, tol=config.tol), fmt)
-        elif cmd == "pmf":
-            law = law_mod.build_law(chain, tol=config.tol)
-            table = law_mod.pmf_table(law, eps=config.eps)
-            document = emit_table(table, fmt, histogram=config.histogram)
-        elif cmd in ("pdf", "cdf"):
-            law = law_mod.build_law(chain, tol=config.tol)
-            if isinstance(chain, ContinuousChain):
+            document = _doc_moments(law, fmt)
+        elif cmd in _TABLE_COMMANDS:  # the chain's own table, whichever of the three
+            if law.kind == "discrete":
+                table = law_mod.pmf_table(law, eps=config.eps)
+            else:
                 grid = law_mod.default_grid(law, config.grid_points, config.grid_max)
                 table = law_mod.pdf_cdf_table(law, grid, method=config.method)
-            else:
-                table = law_mod.pmf_table(law, eps=config.eps)
             document = emit_table(table, fmt, histogram=config.histogram)
         elif cmd == "sample":
             cfg = SamplerConfig(seed=config.seed, paths=config.paths, start_state=config.start_state)
@@ -278,10 +258,10 @@ def run(config):
                 exit_code = 2
         else:  # unreachable; RunConfig rejects unknown commands
             raise ValueError(config.command)
-    except (SchemaError, ValidationError, RangeError) as exc:
+    except InputError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 1
-    except _NUMERIC_FAILURES as exc:
+    except NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
 
@@ -309,9 +289,9 @@ def build_parser():
         "validate": "check a chain-spec file against the schema and invariants",
         "spectrum": "print the transient-block eigenvalues and classification",
         "law": "print the hitting law (leading constant, denominator, spectrum)",
-        "pmf": "tabulate the absorption-time PMF (discrete chains)",
-        "pdf": "tabulate the absorption-time density (continuous chains)",
-        "cdf": "tabulate the absorption-time CDF",
+        "pmf": "tabulate the absorption-time PMF (a continuous chain gets its density table)",
+        "pdf": "tabulate the absorption-time density (a discrete chain gets its PMF table)",
+        "cdf": "tabulate the absorption-time CDF (the same table as pmf and pdf)",
         "moments": "print mean and variance of the absorption time",
         "sample": "draw Monte Carlo absorption times",
         "verify": "run every oracle cross-check; exit 0 iff all pass",
@@ -324,15 +304,14 @@ def build_parser():
                        help="output document format (default %(default)s)")
         p.add_argument("--out", default=_DEFAULTS["out"],
                        help="write the document to a file instead of stdout")
-        if name in ("spectrum", "law", "moments", "pmf", "pdf", "cdf"):
+        if name in _LAW_COMMANDS:
             p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
                            help="realness tolerance for spectrum classification")
-        if name in ("pmf", "pdf", "cdf"):
+        if name in _TABLE_COMMANDS:
             p.add_argument("--eps", type=float, default=_DEFAULTS["eps"],
                            help="PMF tables extend until cumulative >= 1-eps")
             p.add_argument("--histogram", action="store_true",
                            help="append a 60-column text histogram")
-        if name in ("pdf", "cdf"):
             p.add_argument("--grid-max", type=float, default=_DEFAULTS["grid_max"],
                            help="largest grid time (default 5x the mean)")
             p.add_argument("--grid-points", type=int, default=_DEFAULTS["grid_points"],

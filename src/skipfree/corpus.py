@@ -61,13 +61,14 @@ def random_birth_death_discrete(rng, d, hold_min=0.5, hold_max=0.9):
 
 
 def desk_scale(chain, mean_cap=1000.0):
-    """True when the chain mixes fast enough for double-precision closed forms.
+    """True when the chain absorbs fast enough for the oracle cross-checks.
 
-    Strongly downward-biased chains push the transient spectral radius
-    within ~1e-8 of 1; there det(I - sP) evaluated near s=1 cancels below
-    double roundoff and PMF tables run to ~1e8 terms, so no verification at
-    1e-8 tolerances is meaningful.  The cap is decided by the first-step
-    linear system, independent of the charpoly pipeline.
+    Strongly downward-biased chains absorb so slowly that their PMF tables
+    run to ~1e8 terms, past law.MAX_PMF_TERMS, and the first-step solve that
+    checks the mean then measures the rounding of the stored hold
+    probabilities (a row may miss 1 by ~1e-16) rather than the chain, so no
+    verification at 1e-8 tolerances is meaningful.  The cap is decided by
+    that linear system, independent of the stage recursion.
     """
     return float(expected_hitting_times(chain)[0]) <= mean_cap
 

@@ -1,15 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each error derives from :class:`InputError` (the input is not valid; the CLI
+exits 1) or :class:`NumericalError` (a valid input broke down; exit 2).
+"""
 
 
 class SkipFreeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SchemaError(SkipFreeError):
+class InputError(SkipFreeError):
+    """The input is not valid: the CLI reports "invalid input" and exits 1."""
+
+
+class NumericalError(SkipFreeError):
+    """A valid input broke down in floating point: the CLI reports "numerical failure" and exits 2."""
+
+
+class SchemaError(InputError):
     """Chain-spec document is structurally malformed (missing/extra/ill-typed fields)."""
 
 
-class ValidationError(SkipFreeError):
+class ValidationError(InputError):
     """A chain (or law) invariant is violated.
 
     Carries the offending row index and the numeric residual when the
@@ -22,11 +34,11 @@ class ValidationError(SkipFreeError):
         self.residual = residual
 
 
-class RangeError(SkipFreeError, ValueError):
+class RangeError(InputError, ValueError):
     """Argument outside its documented range: an index, a tolerance, a count or a grid."""
 
 
-class InvariantError(SkipFreeError):
+class InvariantError(NumericalError):
     """A law computed from a chain that passed validation broke down in floating point.
 
     The chain is valid; a number computed from it is not one the law can
@@ -35,25 +47,25 @@ class InvariantError(SkipFreeError):
     """
 
 
-class ConvergenceError(SkipFreeError):
+class ConvergenceError(NumericalError):
     """The LAPACK eigenvalue solver did not converge on the transient block."""
 
 
-class PoleError(SkipFreeError):
+class PoleError(NumericalError):
     """Transform evaluated too close to a pole of its denominator."""
 
 
-class TailError(SkipFreeError):
+class TailError(NumericalError):
     """Tail mass of a distribution table cannot be bounded."""
 
 
-class DegenerateSpectrumError(SkipFreeError):
+class DegenerateSpectrumError(NumericalError):
     """Partial-fraction inversion requested for a near-repeated spectrum."""
 
 
-class SingularSystemError(SkipFreeError):
+class SingularSystemError(NumericalError):
     """Linear system for expected hitting times is singular."""
 
 
-class RunawayPathError(SkipFreeError):
+class RunawayPathError(NumericalError):
     """A simulated trajectory exceeded the per-path step cap."""

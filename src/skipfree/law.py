@@ -119,13 +119,6 @@ class DistributionTable:
             object.__setattr__(self, name, view)
 
 
-@dataclass(frozen=True)
-class NotApplicable:
-    """Marker returned when no phase representation exists; says why."""
-
-    classification: SpectrumClass
-
-
 def build_law(chain, tol=DEFAULT_REAL_TOL):
     """Assemble the HittingLaw of a chain: the chain and its spectrum."""
     if not isinstance(chain, (DiscreteChain, ContinuousChain)):
@@ -294,16 +287,13 @@ def _partial_fraction_weights(rates):
     return weights
 
 
-def _distinct_real_positive(spectrum):
-    if spectrum.classification is not SpectrumClass.REAL_NONNEGATIVE:
+def _separable(rates):
+    """Are ``rates`` (phases or None) distinct and positive, as partial fractions need?"""
+    if rates is None:
         return False
-    lam = sorted(v.real for v in spectrum.values)
-    if lam and lam[0] <= 0.0:
-        return False
-    for a, b in zip(lam, lam[1:]):
-        if b - a <= PF_MIN_RELATIVE_GAP * max(abs(a), abs(b)):
-            return False
-    return True
+    lam = sorted(rates)
+    gaps = zip(lam, lam[1:])
+    return lam[0] > 0.0 and all(b - a > PF_MIN_RELATIVE_GAP * b for a, b in gaps)
 
 
 def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
@@ -352,7 +342,8 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
     if not valid or np.any(np.diff(grid) < 0.0):
         raise RangeError("grid must be nonempty, finite, sorted and nonnegative")
 
-    separable = _distinct_real_positive(law.spectrum)
+    rates = phase_representation(law)
+    separable = _separable(rates)
     if method == "partial_fractions" and not separable:
         raise DegenerateSpectrumError(
             "partial fractions need distinct real positive eigenvalues "
@@ -362,7 +353,7 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
         method = "partial_fractions" if separable else "uniformization"
 
     if method == "partial_fractions":
-        lam = np.array([v.real for v in law.spectrum.values])
+        lam = np.array(rates)
         w = _partial_fraction_weights(lam)
         # t lambda overflows to inf only where exp(-t lambda) is 0 anyway
         with np.errstate(over="ignore"):
@@ -415,20 +406,19 @@ def moments(law):
 
 
 def phase_representation(law):
-    """Independent-phase parameters when the spectrum allows them.
+    """Independent-phase parameters when the spectrum allows them, else None.
 
-    Returns the geometric success probabilities (1 - lambda_i) for a
-    discrete law, or the exponential rates lambda_i for a continuous one,
-    whenever the classification is RealNonnegative (and, discretely, every
-    eigenvalue is below 1).  Otherwise returns :class:`NotApplicable`
-    carrying the classification.
+    Returns a tuple, in the spectrum's order, of the geometric success
+    probabilities (1 - lambda_i) for a discrete law or the exponential rates
+    lambda_i for a continuous one, whenever the classification is
+    RealNonnegative (and, discretely, every eigenvalue is below 1); the
+    absorption time is then the sum of those independent phases.  Returns
+    None otherwise; ``law.spectrum.classification`` says why.
     """
     spectrum = law.spectrum
     if spectrum.classification is not SpectrumClass.REAL_NONNEGATIVE:
-        return NotApplicable(spectrum.classification)
+        return None
     lam = [v.real for v in spectrum.values]
     if law.kind == "discrete":
-        if any(x >= 1.0 for x in lam):
-            return NotApplicable(spectrum.classification)
-        return tuple(1.0 - x for x in lam)
+        return None if any(x >= 1.0 for x in lam) else tuple(1.0 - x for x in lam)
     return tuple(lam)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .chains import ContinuousChain, DiscreteChain, transient_block
 from .errors import (
+    InvariantError,
     RangeError,
     RunawayPathError,
     SingularSystemError,
@@ -178,7 +179,9 @@ def _step_matrix(onestep, rate, gap, tol):
     (Jensen 1953), whose weights w_k = w_{k-1} mu / k do not underflow at that
     size.  Then square s times (Moler & Van Loan 2003).  Each squaring at most
     doubles the mass the truncated series misses, so the series stops once its
-    tail is below tol / 2^s.  Every product is of nonnegative numbers.
+    tail is below tol / 2^s.  Every product is of nonnegative numbers, but
+    squaring also doubles the rows' relative rounding, so after very many
+    squarings a row sum may overflow; that raises InvariantError.
     """
     # Lambda * gap < 2^(a + b) from the binary exponents, since the product may overflow
     squarings = max(0, math.frexp(rate)[1] + math.frexp(gap)[1] + 1)
@@ -197,10 +200,13 @@ def _step_matrix(onestep, rate, gap, tol):
         term = term @ onestep * (mu / k)
         step += term
     step *= math.exp(-mu)
-    for _ in range(squarings):
-        if not step.any():  # underflowed to zero, which squaring keeps
-            break
-        step = step @ step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            if not step.any():  # underflowed to zero, which squaring keeps
+                break
+            step = step @ step
+    if not np.isfinite(step).all():  # inf and nan survive every later squaring
+        raise InvariantError(f"the step matrix over a gap of {gap!r} overflows in squaring")
     return step
 
 

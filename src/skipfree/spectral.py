@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import transient_block
-from .errors import ConvergenceError
+from .errors import ConvergenceError, RangeError
 
 DEFAULT_REAL_TOL = 1e-9
 
@@ -46,10 +46,11 @@ def classify(values, tol):
 
     RealNonnegative iff every value has |Im| <= tol*(1+|value|) and
     Re >= -tol; RealMixedSign iff all values pass the same realness test but
-    at least one has Re < -tol; Complex otherwise.
+    at least one has Re < -tol; Complex otherwise.  Raises RangeError
+    unless 0 < tol < inf.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise RangeError(f"tol must be positive and finite, got {tol}")
     vals = [complex(v) for v in values]
     if any(abs(v.imag) > tol * (1.0 + abs(v)) for v in vals):
         return SpectrumClass.COMPLEX

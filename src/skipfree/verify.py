@@ -14,7 +14,6 @@ from .chains import DiscreteChain, transient_block
 from .errors import DegenerateSpectrumError, RangeError
 from .charpoly import direct_determinant
 from .law import (
-    NotApplicable,
     _transform,
     build_law,
     default_grid,
@@ -90,7 +89,7 @@ def verification_reports(chain, seed=0, s_points=20):
         errs = np.asarray(table.mass_or_density) - inverted
         reports.append(("pmf_vs_matrix_power", report_from_errors(errs, PMF_THRESHOLD)))
         phases = phase_representation(law)
-        if not isinstance(phases, NotApplicable):
+        if phases is not None:
             convolved = geometric_sum_pmf(phases, len(table.support))
             errs = np.asarray(table.mass_or_density) - convolved
             reports.append(

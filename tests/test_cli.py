@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,10 +10,14 @@ import numpy as np
 import pytest
 
 import skipfree
+from skipfree import errors
 from skipfree import (
     ContinuousChain,
     DegenerateSpectrumError,
     DistributionTable,
+    InputError,
+    NumericalError,
+    SkipFreeError,
     build_law,
     parse_chain,
     pdf_cdf_table,
@@ -20,7 +25,7 @@ from skipfree import (
     serialize_chain,
 )
 from skipfree.corpus import random_continuous_chain, random_discrete_chain
-from skipfree.cli import RunConfig, emit_table, parse_table_csv, run
+from skipfree.cli import COMMANDS, RunConfig, emit_table, parse_table_csv, run
 from tests.conftest import CHAIN_DIR, GOLDEN_DIR, same_table
 
 
@@ -263,6 +268,10 @@ def test_csv_round_trip_is_exact():
         (["sample", "d1_geometric.json", "--seed", "-1"], "seed must be in 0..2**128-1"),
         (["sample", "d1_geometric.json", "--seed", str(2**128)], "seed must be in 0..2**128-1"),
         (["verify", "d1_geometric.json", "--seed", "-5"], "seed must be >= 0"),
+        (["law", "d2_mixed.json", "--tol", "0"], "tol must be positive and finite"),
+        (["spectrum", "d2_mixed.json", "--tol", "-1"], "tol must be positive and finite"),
+        (["law", "d2_mixed.json", "--tol", "nan"], "tol must be positive and finite"),
+        (["pdf", "d2_coupled_rates.json", "--tol", "inf"], "tol must be positive and finite"),
     ],
 )
 def test_option_out_of_range_exits_1_without_traceback(argv, message):
@@ -291,6 +300,44 @@ def test_fast_chain_at_the_top_of_the_double_range_never_tracebacks(tmp_path, me
     proc = _cli_subprocess("cdf", fast, "--method", method, "--grid-max", "1e308")
     assert proc.returncode in (0, 2)
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+# valid chains whose laws leave the desk scale: a discrete mean of 1.45e16, and a continuous
+# mean of 6.4e23 with a Complex spectrum, which sends its tables down the uniformization route
+_HOSTILE = {
+    "discrete_d24": lambda: random_discrete_chain(np.random.default_rng(1), 24),
+    "continuous_d32": lambda: random_continuous_chain(np.random.default_rng(0), 32),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(p.stem for p in CHAIN_DIR.glob("*.json")) + list(_HOSTILE))
+def test_every_command_on_a_valid_chain_succeeds_or_exits_2(tmp_path, capsys, name):
+    path = CHAIN_DIR / f"{name}.json"
+    if name in _HOSTILE:
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_chain(_HOSTILE[name]()))
+    documents = {}
+    for command in COMMANDS:
+        if command == "sample":  # its runaway cap is out of reach on the slow chains
+            continue
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, command, path, output_format=fmt)
+            assert code in (0, 2), (command, fmt, err)
+            assert code == 2 or not re.search(r"\bnan\b", out, re.IGNORECASE), (command, fmt)
+            documents[command, fmt] = code, out, err
+    if parse_chain(path.read_text()).kind == "continuous":
+        for fmt in ("csv", "json"):
+            assert documents["pmf", fmt] == documents["pdf", fmt]
+
+
+def test_every_error_has_exactly_one_exit_code_base():
+    bases = (InputError, NumericalError)
+    leaves = [cls for cls in vars(errors).values() if isinstance(cls, type)
+              and issubclass(cls, SkipFreeError) and cls not in bases + (SkipFreeError,)]
+    assert len(leaves) >= 10  # the scan found the module's error classes
+    for cls in leaves:
+        assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__
 
 
 def test_run_config_rejects_unknown_command():

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skipfree import (
+    RangeError,
     SpectrumClass,
     build_law,
     classify,
@@ -34,6 +35,15 @@ def test_classify_cases():
     assert classify([1e6 + 0.5j], 1e-6) is SpectrumClass.REAL_NONNEGATIVE
     with pytest.raises(ValueError):
         classify([0.5], 0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_realness_tolerance_outside_its_range_is_rejected(tol):
+    with pytest.raises(RangeError, match="tol must be positive and finite"):
+        classify([0.5], tol)
+    # a nan tolerance used to snap this Complex spectrum onto the real axis
+    with pytest.raises(RangeError):
+        build_law(random_continuous_chain(np.random.default_rng(1), 6), tol=tol)
 
 
 def test_single_state_spectrum(d1_geometric, rate2_single):
