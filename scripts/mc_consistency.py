@@ -7,10 +7,13 @@ directly must be distributed like the sum of independently sampled stage
 passages i -> i+1.
 
     python3 scripts/mc_consistency.py --chains 10 --paths 50000
+
+Exits 1 if any row is flagged ``<-- CHECK``.
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -41,6 +44,7 @@ def main():
     critical = ks_critical_value(args.ks_paths, args.ks_paths, alpha=0.01)
     print(f"KS 1% critical value at {args.ks_paths} paths: {critical:.5f}\n")
     print(f"{'kind':10s} {'d':>2s} {'mean':>10s} {'empirical':>10s} {'sigmas':>7s} {'KS':>8s}")
+    flagged = 0
     for kind, generator in (("discrete", random_discrete_chain),
                             ("continuous", random_continuous_chain)):
         done = 0
@@ -58,8 +62,10 @@ def main():
             sigmas = abs(samples.mean() - mean) / stderr
             ks = telescoping_statistic(chain, seed=args.seed * 1000 + done, paths=args.ks_paths)
             flag = "" if sigmas <= 4 and ks < critical else "  <-- CHECK"
+            flagged += bool(flag)
             print(f"{kind:10s} {d:2d} {mean:10.4f} {samples.mean():10.4f} {sigmas:7.2f} {ks:8.5f}{flag}")
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

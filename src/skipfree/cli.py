@@ -184,9 +184,10 @@ def _doc_moments(law, fmt):
 
 
 def _doc_samples(samples, fmt):
+    values = samples.tolist()
     if fmt == "json":
-        return json.dumps([x.item() for x in samples])
-    return "\n".join(["sample"] + [_cell(x.item()) for x in samples])
+        return json.dumps(values)
+    return "\n".join(["sample"] + [_cell(x) for x in values])
 
 
 def _doc_verify(reports, fmt):

@@ -7,20 +7,22 @@ product on the unit circle, uniformization of the generator, and Monte
 Carlo simulation.  :func:`report_from_errors` turns pointwise errors into
 pass/fail reports, and the KS statistics at the bottom compare samples.
 
-Randomness contract, stream version 2: samplers draw from numpy's Philox
-counter-based bit generator keyed by ``SamplerConfig.seed``, consuming draws
-in wave order, so a given (seed, paths, start_state) triple yields the same
-samples on any platform.  A wave is one jump for every live path, in path
-order: every live path first draws one standard exponential E, which a
-continuous path in state i scales to its holding time E / gamma_i and a
-discrete one turns into its whole hold run, the Geometric(1 - r_i) step
-count 1 + floor(E / -log r_i); then every live path draws one uniform that
-picks its jump target.  Version 1 spent one wave per discrete step, holds
-included; continuous chains consume the same draws in the same order under
-both versions.  How a uniform is mapped to its target is not part of the
-stream: a guide table (Chen & Asau 1974) answers most draws with one
-lookup, and the answer is always the one a binary search of the
-cumulative jump probabilities gives (see :func:`_guide_table`).
+Randomness contract, stream version 3: samplers draw from numpy's SFC64 bit
+generator seeded with ``SamplerConfig.seed``, consuming draws in wave order,
+so a given (seed, paths, start_state) triple yields the same samples on any
+platform.  A wave is one jump for every live path, in path order: every
+live path first draws one standard exponential E and multiplies it by its
+state's scale s_i, giving a continuous path its holding time E / gamma_i
+(s_i = 1 / gamma_i) and a discrete one its hold run, the Geometric(1 - r_i)
+step count 1 + floor(E s_i) with s_i = 1 / -log r_i (0 when there is no
+hold); then every live path draws one uniform that picks its jump target.
+Version 2 drew the same draws in the same order from the Philox generator
+and divided a discrete E by -log r_i, so its samples are not reproduced;
+version 1 spent one wave per discrete step, holds included.  How a uniform
+is mapped to its target is not part of the stream: a guide table (Chen &
+Asau 1974) answers most draws with one lookup, and the answer is always the
+one a binary search of the cumulative jump probabilities gives (see
+:func:`_guide_table`).
 """
 
 import math
@@ -35,7 +37,7 @@ from .errors import (
     RunawayPathError,
     SingularSystemError,
 )
-from .law import DistributionTable, pgf
+from .law import MAX_PMF_TERMS, DistributionTable, pgf
 
 PATH_STEP_CAP = 10**9
 GUIDE_BUCKETS = 1024  # a power of two, so that u * GUIDE_BUCKETS is exact
@@ -50,10 +52,10 @@ class SamplerConfig:
     start_state: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**128:  # the range of a Philox key
+        if not 0 <= self.seed < 2**128:  # kept from stream version 2; SFC64 takes each one
             raise RangeError(f"seed must be in 0..2**128-1, got {self.seed}")
-        if self.paths < 1:
-            raise RangeError(f"paths must be >= 1, got {self.paths}")
+        if not 1 <= self.paths <= MAX_PMF_TERMS:  # the row cap of every table
+            raise RangeError(f"paths must be >= 1 and at most {MAX_PMF_TERMS}, got {self.paths}")
 
 
 @dataclass(frozen=True)
@@ -324,48 +326,59 @@ def sample_hitting_times(chain, cfg, stop_level=None):
         raise RangeError(
             f"start_state must be in 0..{target - 1}, got {cfg.start_state}"
         )
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     totals, keys = _jump_keys(chain, target)
-    table = _guide_table(keys, target)
-    width = target + 1
     discrete = isinstance(chain, DiscreteChain)
     if discrete:
-        # hold run 1 + floor(E / -log r_i) is Geometric(1 - r_i) for E ~ Exp(1);
-        # a total at or above 1 means no hold: an infinite rate, one step
+        # hold run 1 + floor(E s_i), s_i = 1 / -log r_i, is Geometric(1 - r_i) for
+        # E ~ Exp(1); a total at or above 1 means no hold: s_i = 0, one step
         with np.errstate(divide="ignore"):
-            hold_rate = -np.log1p(-np.minimum(totals, 1.0))
+            scale = 1.0 / -np.log1p(-np.minimum(totals, 1.0))
     else:
-        scales = 1.0 / totals
+        scale = 1.0 / totals
+    # a path in state i is kept as its guide-table row offset i * GUIDE_BUCKETS:
+    # the table's targets are scaled to the offsets of their rows (a search
+    # bucket stays negative), and s_i is repeated over row i
+    table = _guide_table(keys, target) * GUIDE_BUCKETS
+    scale = np.repeat(scale, GUIDE_BUCKETS)
+    width, absorbed = target + 1, target * GUIDE_BUCKETS
 
-    # live paths only, compacted after every wave: original index, state, clock
+    # live paths only, compacted after every wave: original index, row, clock.
+    # A discrete clock sums the holds and gets the one jump per wave when its
+    # path finishes; its integers stay far below 2**53 up to the cap
     index = np.arange(cfg.paths)
-    state = np.full(cfg.paths, cfg.start_state, dtype=np.intp)
-    clock = np.zeros(cfg.paths)  # steps are integers far below 2**53
+    row = np.full(cfg.paths, cfg.start_state * GUIDE_BUCKETS, dtype=np.intp)
+    clock = np.zeros(cfg.paths)
     result = np.zeros(cfg.paths, dtype=np.int64 if discrete else np.float64)
     wave = 0
     while index.size:
         wave += 1
-        holds = rng.standard_exponential(index.size)
-        if discrete:
-            clock += np.floor(holds / hold_rate[state]) + 1.0
-        else:
-            clock += holds * scales[state]
-        if (clock.max() if discrete else wave) > PATH_STEP_CAP:
+        if wave > PATH_STEP_CAP:  # each live path would pass ``wave`` steps
             raise RunawayPathError(f"a path exceeded {PATH_STEP_CAP} steps")
+        holds = rng.standard_exponential(index.size)
+        holds *= scale[row]
+        if discrete:
+            np.floor(holds, out=holds)
+        clock += holds
         draws = rng.random(index.size)
-        bucket = (draws * GUIDE_BUCKETS).astype(np.intp)
-        nxt = table[state * GUIDE_BUCKETS + bucket]
+        nxt = table[row + (draws * GUIDE_BUCKETS).astype(np.intp)]
         (miss,) = (nxt < 0).nonzero()
         if miss.size:
-            from_state = state[miss]
-            nxt[miss] = keys.searchsorted(draws[miss] + 2 * from_state) - width * from_state
-        state = nxt
-        hit = state == target
+            from_state = row[miss] // GUIDE_BUCKETS
+            found = keys.searchsorted(draws[miss] + 2 * from_state) - width * from_state
+            nxt[miss] = found * GUIDE_BUCKETS
+        row = nxt
+        hit = row == absorbed
         (done,) = hit.nonzero()
         if done.size:
-            result[index[done]] = clock[done]
+            finished = clock[done]
+            if discrete:
+                finished += wave
+                if finished.max() > PATH_STEP_CAP:
+                    raise RunawayPathError(f"a path exceeded {PATH_STEP_CAP} steps")
+            result[index[done]] = finished
             (keep,) = (~hit).nonzero()
-            index, state, clock = index[keep], state[keep], clock[keep]
+            index, row, clock = index[keep], row[keep], clock[keep]
     return result
 
 

@@ -255,6 +255,8 @@ def test_csv_round_trip_is_exact():
         (["pmf", "d1_geometric.json", "--eps", "0"], "eps must be in (0,1)"),
         (["pmf", "d1_geometric.json", "--eps", "2"], "eps must be in (0,1)"),
         (["sample", "d1_geometric.json", "--paths", "0"], "paths must be >= 1"),
+        (["sample", "d1_geometric.json", "--paths", "1000000000000"],
+         "paths must be >= 1 and at most 1000000"),
         (["pdf", "d2_coupled_rates.json", "--grid-points", "0"], "grid points must be >= 1"),
         (["pdf", "d2_coupled_rates.json", "--grid-max", "-1"], "grid must be nonempty"),
         (["cdf", "d2_coupled_rates.json", "--grid-max", "nan"], "grid_max must be finite"),

@@ -15,6 +15,7 @@ from skipfree import (
     expected_hitting_times,
     ks_critical_value,
     ks_two_sample,
+    parse_chain,
     pmf_by_matrix_power,
     pmf_by_path_enumeration,
     sample_hitting_times,
@@ -27,8 +28,10 @@ from skipfree.corpus import (
     random_continuous_chain,
     random_discrete_chain,
 )
+from skipfree.law import MAX_PMF_TERMS
 from skipfree.oracle import GUIDE_BUCKETS, _guide_table, _jump_keys
 from skipfree.verify import PRODUCT_THRESHOLD, _product_identity, verification_reports
+from tests.conftest import CHAIN_DIR
 
 
 def test_matrix_power_geometric(d1_geometric):
@@ -180,8 +183,8 @@ def test_sampler_continuous_mean(rates12_pure_birth):
 
 
 def test_continuous_stream_matches_wave_reference():
-    # stream version 2 keeps the continuous draws of version 1: per wave one
-    # exponential hold, then one uniform, for every live path in path order
+    # stream version 3: per wave one exponential hold, scaled by 1 / gamma_i,
+    # then one uniform, for every live path in path order
     chain = random_continuous_chain(np.random.default_rng(5), 4)
     cfg = SamplerConfig(seed=8, paths=2000)
     d = chain.d
@@ -193,7 +196,7 @@ def test_continuous_stream_matches_wave_reference():
         rows[i] /= gamma[i]
     cum = np.cumsum(rows, axis=1)
     cum[:, -1] = 1.0
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     live = np.arange(cfg.paths)
     state = np.zeros(cfg.paths, dtype=np.intp)
     clock = np.zeros(cfg.paths)
@@ -207,23 +210,44 @@ def test_continuous_stream_matches_wave_reference():
     assert np.array_equal(sample_hitting_times(chain, cfg), expected)
 
 
+def test_stream_version_3_literal_samples(d2_mixed):
+    # pinned values, so that a change in numpy's generators cannot move both
+    # the sampler and the wave references above without a test noticing
+    cfg = SamplerConfig(seed=2023, paths=8)
+    assert sample_hitting_times(d2_mixed, cfg).tolist() == [3, 2, 9, 5, 3, 5, 4, 8]
+    rates = parse_chain((CHAIN_DIR / "d2_coupled_rates.json").read_text())
+    assert sample_hitting_times(rates, cfg).tolist() == [
+        2.714598852329325, 6.751637849411075, 8.681139749815584, 3.136749591630063,
+        2.2890856255598404, 5.240306773642677, 1.867640357908038, 8.712644009348859,
+    ]
+
+
+def test_sampler_config_ranges():
+    for seed in (0, 1, 2**64, 2**128 - 1):
+        SamplerConfig(seed=seed, paths=1)
+    SamplerConfig(seed=0, paths=MAX_PMF_TERMS)
+    for paths in (0, -1, MAX_PMF_TERMS + 1, 10**12):
+        with pytest.raises(RangeError, match="paths must be >= 1 and at most"):
+            SamplerConfig(seed=0, paths=paths)
+    for seed in (-1, 2**128):
+        with pytest.raises(RangeError, match="seed must be in"):
+            SamplerConfig(seed=seed, paths=1)
+
+
 def _searchsorted_waves(chain, cfg, target):
-    # stream version 2 with every jump target found by a binary search
+    # stream version 3 with every jump target found by a binary search
     totals, keys = _jump_keys(chain, target)
     discrete = isinstance(chain, DiscreteChain)
     with np.errstate(divide="ignore"):
-        hold_rate = -np.log1p(-np.minimum(totals, 1.0))
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        scale = 1.0 / -np.log1p(-np.minimum(totals, 1.0)) if discrete else 1.0 / totals
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     live = np.arange(cfg.paths)
     state = np.full(cfg.paths, cfg.start_state)
     clock = np.zeros(cfg.paths)
     expected = np.zeros(cfg.paths, dtype=np.int64 if discrete else np.float64)
     while live.size:
-        holds = rng.standard_exponential(live.size)
-        if discrete:
-            clock[live] += np.floor(holds / hold_rate[state]) + 1.0
-        else:
-            clock[live] += holds * (1.0 / totals)[state]
+        holds = rng.standard_exponential(live.size) * scale[state]
+        clock[live] += np.floor(holds) + 1.0 if discrete else holds
         nxt = keys.searchsorted(rng.random(live.size) + 2 * state) - (target + 1) * state
         hit = nxt == target
         expected[live[hit]] = clock[live[hit]]
