@@ -1,8 +1,9 @@
 """Sweep random chain corpora through every oracle cross-check.
 
-Prints one row per chain with the worst check, and a summary per check
-name.  Useful for hunting numerically hostile regions beyond what the test
-suite pins down.
+Sweeps the four corpus families: general and birth-death, discrete and
+continuous.  Prints one row per chain with the worst check, and a summary
+per check name.  Useful for hunting numerically hostile regions beyond what
+the test suite pins down.
 
     python3 scripts/verify_corpus.py --chains 50 --d-max 10 --seed 7
 """
@@ -15,15 +16,24 @@ import numpy as np
 
 from skipfree.corpus import (
     desk_scale,
+    random_birth_death_continuous,
+    random_birth_death_discrete,
     random_continuous_chain,
     random_discrete_chain,
 )
 from skipfree.verify import verification_reports
 
+FAMILIES = (
+    random_discrete_chain,
+    random_continuous_chain,
+    random_birth_death_discrete,
+    random_birth_death_continuous,
+)
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--chains", type=int, default=50, help="chains per kind")
+    parser.add_argument("--chains", type=int, default=50, help="chains per family")
     parser.add_argument("--d-max", type=int, default=8, help="largest absorbing index")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--mean-cap", type=float, default=1000.0,
@@ -33,8 +43,8 @@ def main():
     rng = np.random.default_rng(args.seed)
     worst = defaultdict(float)
     failures = 0
-    for kind, generator in (("discrete", random_discrete_chain),
-                            ("continuous", random_continuous_chain)):
+    for generator in FAMILIES:
+        family = generator.__name__.removeprefix("random_")
         done = 0
         while done < args.chains:
             d = int(rng.integers(1, args.d_max + 1))
@@ -52,7 +62,7 @@ def main():
             for name, r in reports:
                 worst[name] = max(worst[name], r.max_abs_err)
             status = "FAIL " + ",".join(bad) if bad else "ok"
-            print(f"{kind} d={d}: worst {peak_name} at {peak:.2e} of threshold [{status}]")
+            print(f"{family} d={d}: worst {peak_name} at {peak:.2e} of threshold [{status}]")
 
     print("\nworst absolute error per check:")
     for name, err in sorted(worst.items()):

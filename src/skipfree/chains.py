@@ -7,6 +7,14 @@ probability r_i, the up probability p_i and the down-jump row q_{i,j}
 (j < i); a continuous chain keeps the up rate alpha_i and the down-jump
 rates beta_{i,j}.  Rows are stored sparsely; the dense transient block is
 materialized once per chain, by the first call to :func:`transient_block`.
+
+A discrete row sums to 1 only within ROW_SUM_TOL, so 1 - r_i and
+p_i + sum_j q_{i,j} may differ by that much, and each route reads one of
+them.  The stored r_i enters through the block: the PMF table, the
+transforms (step 1 - r_i s) and the first-step solve (I - P) h = 1 read it
+there, and so do the path enumeration and the sampler's hold runs.  The
+moments and the sampler's jump totals take 1 - r_i as p_i + sum_j q_{i,j}
+and read no r_i.
 """
 
 import json

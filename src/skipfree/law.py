@@ -6,12 +6,14 @@ p_0...p_{d-1} s^d / det(I - s P_{d-1}) of a discrete chain or the Laplace
 transform alpha_0...alpha_{d-1} / det(s I - Q_{d-1}) of a continuous one.
 
 The chain climbs one state at a time, so the passage 0 -> d is the sum of
-the independent stage passages n -> n+1.  One recursion over the stages
-(:func:`_passage`, the determinants' bottom-row recurrence in ratio form)
-gives the transforms and the moments of both chain kinds; no monomial
-coefficient enters them.  The discrete PMF is vector iteration on the
-transient block in blocks of PMF_BLOCK powers, with the exact mass left in
-the transient states as its tail bound.  The monomial denominator is
+the independent stage passages n -> n+1.  The transforms are the product of
+the stage transforms, which follow the determinants' bottom-row recurrence
+in ratio form (:func:`_transform`, vectorized over the points); the moments
+are the sums of the stage means and variances, a scalar recursion over the
+chain's own rows (:func:`moments`).  Both keep the passages j -> n as
+suffixes, and no monomial coefficient enters either.  The discrete PMF is
+vector iteration on the transient block in blocks of PMF_BLOCK powers, with
+the exact mass left in the transient states as its tail bound.  The monomial denominator is
 computed only on request (:attr:`HittingLaw.denom`), for the ``law``
 output.
 """
@@ -128,25 +130,6 @@ def build_law(chain, tol=DEFAULT_REAL_TOL):
     return HittingLaw(chain, spectrum)
 
 
-def _passage(law, stage, combine, unit):
-    """Summary of the passage 0 -> d, combined from the stage passages n -> n+1.
-
-    ``stage(up, down, diagonal, below)`` solves stage n from row n of the
-    transient block and below[j], the summary of the passage j -> n: the
-    ``combine`` of stages j..n-1 (a product of transforms, a sum of moments),
-    kept as suffixes and never as quotients or differences of prefixes.
-    ``unit`` summarises the empty passage.
-    """
-    chain = law.source
-    block = transient_block(chain, chain.d - 1)
-    below = np.empty((chain.d,) + np.shape(unit), dtype=np.result_type(unit))
-    below[:] = unit
-    for n in range(chain.d):
-        here = stage(chain.up[n], block[n, :n], block[n, n], below[:n])
-        combine(below[: n + 1], here, out=below[: n + 1])
-    return below[0]
-
-
 def _transform(law, s):
     """(product of the stage transforms psi_n, stage denominators) at s, a scalar or 1-D array.
 
@@ -162,19 +145,22 @@ def _transform(law, s):
     points = np.atleast_1d(points).astype(np.result_type(points, float))
     discrete = law.kind == "discrete"
     z = points if discrete else 1.0
-    denominators = []
-
-    def stage(up, down, diagonal, below):
-        step = 1.0 - diagonal * points if discrete else points - diagonal
-        denom = step - z * (down @ below)
+    chain = law.source
+    block = transient_block(chain, chain.d - 1)
+    # row j: psi_j...psi_{n-1}, the transform of the passage j -> n, a suffix product and
+    # never a quotient of prefixes
+    below = np.ones((chain.d, points.size), dtype=points.dtype)
+    denominators = np.empty_like(below)
+    for n in range(chain.d):
+        step = 1.0 - block[n, n] * points if discrete else points - block[n, n]
+        denom = step - z * (block[n, :n] @ below[:n])
         near = np.abs(denom).min()
         if near < POLE_GUARD:
             raise PoleError(f"a stage denominator is {near:.3e}; too close to a pole")
-        denominators.append(denom)
-        return up * z / denom
-
-    value = _passage(law, stage, np.multiply, np.ones_like(points))
-    return (value if np.ndim(s) else value[0].item()), np.array(denominators)
+        denominators[n] = denom
+        below[: n + 1] *= chain.up[n] * z / denom
+    value = below[0]
+    return (value if np.ndim(s) else value[0].item()), denominators
 
 
 def pgf(law, s):
@@ -382,24 +368,37 @@ def moments(law):
         up_n u_n = 2 m_n - c + sum_j down_{n,j} (V_j + M_j^2 + 2 M_j m_n)
 
     where M_j, V_j are the mean and variance of the passage j -> n and c = 1
-    (discrete) or 0 (continuous); its variance is u_n - m_n^2.  The means are
-    sums of positive terms.  Returns (mean, variance) as floats; raises
-    InvariantError if a stage sum overflows a double.
+    (discrete) or 0 (continuous); its variance is u_n - m_n^2.  The recursion
+    runs on the chain's rows as Python floats: each sum over j is taken left
+    to right over the nonzero down rates, and M_j, V_j are suffix sums of the
+    stage moments j..n-1, never differences of prefixes, so the means are
+    sums of positive terms.  No hold probability is read: 1 - r_n is taken
+    as p_n + sum_j q_{n,j}, which leaves up_n on the left.  Returns (mean,
+    variance) as floats; raises InvariantError, with no warning, if a stage
+    sum overflows a double.
 
     >>> from skipfree import DiscreteChain, build_law
     >>> moments(build_law(DiscreteChain(d=1, hold=[0.5], up=[0.5])))
     (2.0, 2.0)
     """
+    chain = law.source
     c = 1.0 if law.kind == "discrete" else 0.0
-
-    def stage(up, down, diagonal, below):
-        mean, var = below.T
-        m = (1.0 + down @ mean) / up
-        u = (2.0 * m - c + down @ (var + mean * (mean + 2.0 * m))) / up
-        return m, u - m * m
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, variance = _passage(law, stage, np.add, np.zeros(2)).tolist()
+    means, variances = [], []  # entry j: the passage j -> n, its stage moments summed as a suffix
+    for n, up in enumerate(chain.up):
+        row = [(q, means[j], variances[j]) for j, q in enumerate(chain.down[n]) if q]
+        first = 0.0
+        for q, mean_j, _ in row:
+            first += q * mean_j
+        m = (1.0 + first) / up
+        second = 0.0
+        for q, mean_j, var_j in row:
+            second += q * (var_j + mean_j * (mean_j + 2.0 * m))
+        v = (2.0 * m - c + second) / up - m * m
+        means = [x + m for x in means]
+        variances = [x + v for x in variances]
+        means.append(m)
+        variances.append(v)
+    mean, variance = means[0], variances[0]
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise InvariantError(f"the stage moments overflow: mean {mean!r}, variance {variance!r}")
     return mean, variance

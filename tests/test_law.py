@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from skipfree import (
     ContinuousChain,
     DegenerateSpectrumError,
+    InvariantError,
     PoleError,
     RangeError,
     SpectrumClass,
@@ -33,6 +35,7 @@ from skipfree import (
 from skipfree.cli import parse_table_csv
 from skipfree.corpus import (
     desk_scale,
+    random_birth_death_continuous,
     random_birth_death_discrete,
     random_continuous_chain,
     random_discrete_chain,
@@ -350,6 +353,72 @@ def test_moments_worked_values(d1_geometric, d2_mixed, rates12_pure_birth):
     mean, _ = moments(build_law(d2_mixed))
     assert mean == pytest.approx(4.6875, rel=1e-12)
     assert moments(build_law(rates12_pure_birth)) == pytest.approx((1.5, 1.25))
+
+
+def _solve_exact(a, b):
+    """x with a x = b in exact rationals, by elimination without pivoting.
+
+    The first-step matrices below are irreducibly diagonally dominant M-matrices, whose
+    leading principal minors are positive, so no pivot is zero.
+    """
+    n = len(b)
+    rows = [row + [rhs] for row, rhs in zip(a, b)]
+    for k in range(n):
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
+def _exact_first_step_moments(chain):
+    """(E[tau], E[tau^2]) from state 0 in exact rationals, each hold taken as 1 - p - sum q.
+
+    A h = 1 and A h2 = 2h - c, with A = I - P_{d-1} (c = 1) or -Q_{d-1} (c = 0); both have
+    diagonal up_i + sum_j down_{i,j}, so the stored r_i is never read.
+    """
+    d = chain.d
+    a = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        down = [Fraction(q) for q in chain.down[i]]
+        a[i][:i] = [-q for q in down]
+        a[i][i] = Fraction(chain.up[i]) + sum(down, Fraction(0))
+        if i + 1 < d:
+            a[i][i + 1] = -Fraction(chain.up[i])
+    h = _solve_exact(a, [Fraction(1)] * d)
+    c = 1 if chain.kind == "discrete" else 0
+    return h[0], _solve_exact(a, [2 * x - c for x in h])[0]
+
+
+def test_moments_against_exact_rational_first_step_solve():
+    # the float first-step solves agree only to about 1e-8 at larger means
+    checked = 0
+    for family in (random_discrete_chain, random_continuous_chain,
+                   random_birth_death_discrete, random_birth_death_continuous):
+        for d in range(1, 9):
+            for seed in range(5):
+                chain = family(np.random.default_rng(seed), d)
+                if not desk_scale(chain):
+                    continue
+                mean, variance = moments(build_law(chain))
+                exact_mean, exact_second = _exact_first_step_moments(chain)
+                assert abs(Fraction(mean) - exact_mean) <= Fraction(1e-14) * exact_mean
+                exact_variance = exact_second - exact_mean**2
+                assert abs(Fraction(variance) - exact_variance) <= Fraction(1e-14) * exact_second
+                checked += 1
+    assert checked == 138
+
+
+@pytest.mark.parametrize("family", [random_discrete_chain, random_continuous_chain])
+def test_moments_overflow_raises_invariant_error_without_warning(family):
+    # means 7.07e158 (discrete) and 2.02e156 (continuous): the variance overflows
+    law = build_law(family(np.random.default_rng(0), 128))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantError, match="overflow"):
+            moments(law)
 
 
 @settings(max_examples=20, deadline=None)
