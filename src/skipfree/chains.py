@@ -5,8 +5,9 @@ time; downward jumps are unrestricted.  State d is absorbing and is never
 stored explicitly: a discrete chain keeps, per transient state i, the hold
 probability r_i, the up probability p_i and the down-jump row q_{i,j}
 (j < i); a continuous chain keeps the up rate alpha_i and the down-jump
-rates beta_{i,j}.  Rows are stored sparsely; the dense transient block is
-materialized once per chain, by the first call to :func:`transient_block`.
+rates beta_{i,j}.  Chains are plain immutable values holding only those
+rows; :func:`transient_block` builds a new dense block from them on every
+call.
 
 A discrete row sums to 1 only within ROW_SUM_TOL, so 1 - r_i and
 p_i + sum_j q_{i,j} may differ by that much, and each route reads one of
@@ -23,17 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, SchemaError, ValidationError
+from .errors import InvariantError, RangeError, SchemaError, ValidationError
 
 ROW_SUM_TOL = 1e-12
-
-
-def _fields_only(chain):
-    """Pickle and copy state: the fields, without the block :func:`transient_block` keeps.
-
-    A copied block would come back writable; the copy builds its own instead.
-    """
-    return {k: v for k, v in chain.__dict__.items() if k != "_block"}
 
 
 def _as_down_rows(down, d):
@@ -49,6 +42,14 @@ def _as_down_rows(down, d):
     if len(rows) != d:
         raise ValidationError(f"down-jump table must have {d} rows, got {len(rows)}")
     return tuple(rows)
+
+
+def _sum_of_rates(rates):
+    """math.fsum of nonnegative rates, or inf where their exact sum passes the largest double."""
+    try:
+        return math.fsum(rates)
+    except OverflowError:  # fsum raises instead of returning inf
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,6 @@ class DiscreteChain:
                     f"row {i} sums to 1{residual:+.3e}", row=i, residual=residual
                 )
 
-    __getstate__ = _fields_only
-
     @property
     def kind(self):
         return "discrete"
@@ -152,10 +151,8 @@ class ContinuousChain:
 
     @property
     def gamma(self):
-        """Total exit rates gamma_i = alpha_i + sum_j beta_{i,j}."""
-        return tuple(self.up[i] + math.fsum(self.down[i]) for i in range(self.d))
-
-    __getstate__ = _fields_only
+        """Total exit rates gamma_i = alpha_i + sum_j beta_{i,j}; inf past the largest double."""
+        return tuple(self.up[i] + _sum_of_rates(self.down[i]) for i in range(self.d))
 
     @property
     def kind(self):
@@ -274,30 +271,33 @@ def serialize_chain(chain):
 def transient_block(chain, n):
     """Principal (n+1)x(n+1) submatrix over states 0..n.
 
-    Returns P_n for a discrete chain or Q_n for a continuous chain, as a
-    dense lower-Hessenberg ndarray: entry (i, i+1) is p_i (resp. alpha_i)
-    and everything above the superdiagonal is zero.  The whole block is
-    built on the chain's first call and kept on the instance (not a field,
-    so equality, hash and repr ignore it); every call returns a read-only
-    view of it.
+    Returns P_n for a discrete chain or Q_n for a continuous chain, as a new
+    dense lower-Hessenberg ndarray built from the chain's rows on every call:
+    entry (i, i+1) is p_i (resp. alpha_i) and everything above the
+    superdiagonal is zero.
 
     Raises
     ------
     RangeError
         If n is outside 0..d-1.
+    InvariantError
+        If a continuous chain's total exit rate gamma_i, i <= n, passes the
+        largest double, which no engine can work with.
     """
     if not 0 <= n <= chain.d - 1:
         raise RangeError(f"n must be in 0..{chain.d - 1}, got {n}")
-    block = chain.__dict__.get("_block")
-    if block is None:
-        d = chain.d
-        block = np.zeros((d, d))
-        for i in range(1, d):
-            block[i, :i] = chain.down[i]
-        diagonal = chain.hold if isinstance(chain, DiscreteChain) else [-g for g in chain.gamma]
-        block.flat[:: d + 1] = diagonal
-        block.flat[1 :: d + 1] = chain.up[: d - 1]
-        block.flags.writeable = False
-        # two threads racing here store equal arrays, so either may win
-        chain.__dict__["_block"] = block
-    return block[: n + 1, : n + 1]
+    size = n + 1
+    if isinstance(chain, DiscreteChain):
+        diagonal = chain.hold[:size]
+    else:
+        gamma = chain.gamma[:size]
+        if math.inf in gamma:
+            row = gamma.index(math.inf)
+            raise InvariantError(f"the total exit rate of row {row} passes the largest double")
+        diagonal = [-g for g in gamma]
+    block = np.zeros((size, size))
+    for i in range(1, size):
+        block[i, :i] = chain.down[i]
+    block.flat[:: size + 1] = diagonal
+    block.flat[1 :: size + 1] = chain.up[:n]
+    return block

@@ -94,14 +94,11 @@ def continuous_charpoly_seq(chain):
     return [Polynomial(tuple(c)) for c in _charpoly_seq(chain)]
 
 
-def direct_determinant(matrix, s, kind):
-    """Dense-determinant oracle: det(I - s M) or det(s I - M).
+def _shifted_stack(matrix, s, kind):
+    """(points, matrices): I - s M (resp. s I - M) stacked over the points of ``s``.
 
-    ``s`` is a real or complex scalar or a 1-D array of points (returns an
-    array): the matrices of all the points are stacked and factored in one
-    ``np.linalg.det`` call, by LU with partial pivoting on each.  This is
-    the brute-force cross-check for the recurrences above and the law's
-    transforms, and is deliberately independent of both.
+    ``points`` is ``s`` as an array of dimension 0 or 1, and ``matrices`` has
+    shape (points, n, n) either way; see :func:`direct_determinant`.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -122,5 +119,20 @@ def direct_determinant(matrix, s, kind):
         matrices.reshape(at.size, n * n)[:, :: n + 1] += at[:, None]
     else:
         raise ValueError(f'kind must be "discrete" or "continuous", got {kind!r}')
+    return points, matrices
+
+
+def direct_determinant(matrix, s, kind):
+    """Dense-determinant oracle: det(I - s M) or det(s I - M).
+
+    ``s`` is a real or complex scalar or a 1-D array of points (returns an
+    array): the matrices of all the points are stacked and factored in one
+    ``np.linalg.det`` call, by LU with partial pivoting on each.  This is
+    the brute-force cross-check for the recurrences above and the law's
+    transforms, and is deliberately independent of both.  ``verify`` takes
+    ``np.linalg.slogdet`` of the same stack, which leaves the double range
+    only in its logarithm.
+    """
+    points, matrices = _shifted_stack(matrix, s, kind)
     dets = np.linalg.det(matrices)
     return dets if points.ndim else dets[0].item()

@@ -307,7 +307,8 @@ def build_parser():
                        help="write the document to a file instead of stdout")
         if name in _LAW_COMMANDS:
             p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
-                           help="realness tolerance for spectrum classification")
+                           help="realness tolerance for spectrum classification, applied "
+                                "to v/|v| for a continuous chain")
         if name in _TABLE_COMMANDS:
             p.add_argument("--eps", type=float, default=_DEFAULTS["eps"],
                            help="PMF tables extend until cumulative >= 1-eps")

@@ -11,11 +11,13 @@ the stage transforms, which follow the determinants' bottom-row recurrence
 in ratio form (:func:`_transform`, vectorized over the points); the moments
 are the sums of the stage means and variances, a scalar recursion over the
 chain's own rows (:func:`moments`).  Both keep the passages j -> n as
-suffixes, and no monomial coefficient enters either.  The discrete PMF is
-vector iteration on the transient block in blocks of PMF_BLOCK powers, with
-the exact mass left in the transient states as its tail bound.  The monomial denominator is
-computed only on request (:attr:`HittingLaw.denom`), for the ``law``
-output.
+suffixes, and no monomial coefficient enters either.  A stage denominator
+is judged too close to a pole relative to the size of its terms, so a
+continuous chain's transforms and moments do not depend on its time unit.
+The discrete PMF is vector iteration on the transient block in blocks of
+PMF_BLOCK powers, with the exact mass left in the transient states as its
+tail bound.  The monomial denominator is computed only on request
+(:attr:`HittingLaw.denom`), for the ``law`` output.
 """
 
 import math
@@ -46,6 +48,7 @@ DEFAULT_GRID_POINTS = 200
 PF_MIN_RELATIVE_GAP = 1e-6
 MAX_PMF_TERMS = 1_000_000
 PMF_BLOCK = 256
+UNIFORMIZATION_TOL = 1e-10  # the largest error of a uniformized table entry
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def _transform(law, s):
     with z = s and step_n(s) = 1 - r_n s for a discrete chain, z = 1 and step_n(s) = s + gamma_n
     for a continuous one.  The denominators, of shape (d, points), multiply to the prefix
     determinants: den_0...den_n = det(I - s P_n) resp. det(s I - Q_n).  A stage denominator
-    below POLE_GUARD in modulus raises PoleError.
+    below POLE_GUARD (1 + |s|) resp. POLE_GUARD (|s| + gamma_n) in modulus raises PoleError.
     """
     points = np.asarray(s)
     if points.ndim > 1:
@@ -154,9 +157,11 @@ def _transform(law, s):
     for n in range(chain.d):
         step = 1.0 - block[n, n] * points if discrete else points - block[n, n]
         denom = step - z * (block[n, :n] @ below[:n])
-        near = np.abs(denom).min()
+        # relative to the size of the step's terms, which carry a continuous chain's time unit
+        scale = 1.0 + np.abs(points) if discrete else np.abs(points) - block[n, n]
+        near = (np.abs(denom) / scale).min()
         if near < POLE_GUARD:
-            raise PoleError(f"a stage denominator is {near:.3e}; too close to a pole")
+            raise PoleError(f"a stage denominator is {near:.3e} of its scale; too close to a pole")
         denominators[n] = denom
         below[: n + 1] *= chain.up[n] * z / denom
     value = below[0]
@@ -298,7 +303,7 @@ def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
     return np.linspace(0.0, grid_max, points)
 
 
-def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
+def pdf_cdf_table(law, grid=None, method="auto"):
     """Density and CDF of a continuous law on a grid.
 
     With distinct, real, strictly positive eigenvalues (pairwise relative
@@ -307,7 +312,7 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
         f(t) = sum_i [prod_{j!=i} lambda_j/(lambda_j - lambda_i)] lambda_i exp(-lambda_i t)
 
     is used.  Every other spectrum routes through the uniformization engine
-    on the source chain, which is exact up to ``tol`` truncation.
+    on the source chain, which is exact up to UNIFORMIZATION_TOL truncation.
     ``method`` forces one route; "auto" picks per the rule above.
 
     Raises
@@ -351,7 +356,7 @@ def pdf_cdf_table(law, grid=None, method="auto", tol=1e-10):
         from .oracle import transient_profile
 
         chain = law.source
-        occupancy = transient_profile(chain, grid, tol)
+        occupancy = transient_profile(chain, grid, UNIFORMIZATION_TOL)
         density = chain.up[chain.d - 1] * occupancy[:, -1]
         cdf = 1.0 - occupancy.sum(axis=1)
 

@@ -18,6 +18,12 @@ def same_table(a, b):
     )
 
 
+def in_time_unit(chain, factor):
+    """The continuous chain with every rate times ``factor``: its clock runs ``factor`` times faster."""
+    return ContinuousChain(d=chain.d, up=[x * factor for x in chain.up],
+                           down=[[x * factor for x in row] for row in chain.down])
+
+
 @pytest.fixture
 def d1_geometric():
     # absorption time is geometric(1/2): tau ~ n with mass 0.5^n

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import math
 import pickle
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from skipfree import (
     ContinuousChain,
     DiscreteChain,
+    InvariantError,
     RangeError,
     SchemaError,
     ValidationError,
@@ -124,16 +128,14 @@ def test_transient_block_equals_per_entry_reference(make, d):
             if i < n:
                 expected[i, i + 1] = chain.up[i]
         assert np.array_equal(transient_block(chain, n), expected)
-    # built once per chain: every call is a read-only view of the same buffer
-    first, again = transient_block(chain, d - 1), transient_block(chain, 0)
-    assert np.shares_memory(first, again)
-    with pytest.raises(ValueError):
-        first[0, 0] = 1.0
-    # a copy leaves the block behind and builds its own, read-only again
-    copied = pickle.loads(pickle.dumps(chain))
-    assert copied == chain and "_block" not in vars(copied)
-    assert np.array_equal(transient_block(copied, d - 1), first)
-    assert not transient_block(copied, d - 1).flags.writeable
+    # every call builds a new, writable array and leaves the chain as it was
+    first, again = transient_block(chain, d - 1), transient_block(chain, d - 1)
+    assert not np.shares_memory(first, again) and first.flags.writeable
+    assert set(vars(chain)) == {f.name for f in dataclasses.fields(chain)}
+    # a chain is its rows, so a copy compares equal and builds an equal block
+    for copied in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
+        assert copied == chain
+        assert np.array_equal(transient_block(copied, d - 1), first)
 
 
 def test_transient_block_range(d2_mixed):
@@ -141,6 +143,21 @@ def test_transient_block_range(d2_mixed):
         transient_block(d2_mixed, 2)
     with pytest.raises(RangeError):
         transient_block(d2_mixed, -1)
+
+
+@pytest.mark.parametrize(
+    "up,down",
+    [
+        ([1e308, 1e308], [[], [1e308]]),  # alpha + beta overflows
+        ([1.0, 1.0, 1.0], [[], [0.0], [1e308, 1e308]]),  # fsum of the betas overflows
+    ],
+)
+def test_total_rate_past_the_largest_double_raises(up, down):
+    chain = ContinuousChain(d=len(up), up=up, down=down)
+    assert chain.gamma[-1] == math.inf
+    transient_block(chain, chain.d - 2)  # the rows above it are fine
+    with pytest.raises(InvariantError, match=f"total exit rate of row {chain.d - 1} passes"):
+        transient_block(chain, chain.d - 1)
 
 
 @settings(max_examples=30, deadline=None)

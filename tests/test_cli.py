@@ -26,7 +26,7 @@ from skipfree import (
 )
 from skipfree.corpus import random_continuous_chain, random_discrete_chain
 from skipfree.cli import COMMANDS, RunConfig, emit_table, parse_table_csv, run
-from tests.conftest import CHAIN_DIR, GOLDEN_DIR, same_table
+from tests.conftest import CHAIN_DIR, GOLDEN_DIR, in_time_unit, same_table
 
 
 def run_cli(capsys, command, path, **overrides):
@@ -305,20 +305,47 @@ def test_fast_chain_at_the_top_of_the_double_range_never_tracebacks(tmp_path, me
 
 
 # valid chains whose laws leave the desk scale: a discrete mean of 1.45e16, and a continuous
-# mean of 6.4e23 with a Complex spectrum, which sends its tables down the uniformization route
+# mean of 6.4e23 with a Complex spectrum, which sends its tables down the uniformization route;
+# and continuous chains far from unit rates: products of two rates past the largest double, a
+# total rate past it, a mean of 1e14, and a complex pair 3.2026 +- 1.3541i times 2^-40
 _HOSTILE = {
     "discrete_d24": lambda: random_discrete_chain(np.random.default_rng(1), 24),
     "continuous_d32": lambda: random_continuous_chain(np.random.default_rng(0), 32),
+    "rates_1e200": lambda: ContinuousChain(d=2, up=[1e200, 1e200], down=[[], [1e200]]),
+    "rates_1e308": lambda: ContinuousChain(d=2, up=[1e308, 1e308], down=[[], [1e308]]),
+    "alpha_1e-14": lambda: ContinuousChain(d=1, up=[1e-14]),
+    "pair_times_2e-40": lambda: in_time_unit(
+        random_continuous_chain(np.random.default_rng(1), 4), 2.0**-40),
 }
+
+
+def _hostile_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_chain(_HOSTILE[name]()))
+    return path
+
+
+@pytest.mark.parametrize("command", ["pdf", "cdf"])
+def test_overflowing_total_rate_exits_2_at_once(tmp_path, command):
+    # gamma_1 = 2e308 is inf, over which a uniformization step would never end; the
+    # subprocess times out after 60 s instead
+    proc = _cli_subprocess(command, _hostile_file(tmp_path, "rates_1e308"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: numerical failure: the total exit rate of row 1 passes the largest double\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["rates_1e200", "alpha_1e-14", "pair_times_2e-40"])
+def test_verify_passes_far_from_unit_rates(tmp_path, capsys, name):
+    code, out, err = run_cli(capsys, "verify", _hostile_file(tmp_path, name))
+    assert code == 0 and err == "", out
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(p.stem for p in CHAIN_DIR.glob("*.json")) + list(_HOSTILE))
 def test_every_command_on_a_valid_chain_succeeds_or_exits_2(tmp_path, capsys, name):
-    path = CHAIN_DIR / f"{name}.json"
-    if name in _HOSTILE:
-        path = tmp_path / f"{name}.json"
-        path.write_text(serialize_chain(_HOSTILE[name]()))
+    path = _hostile_file(tmp_path, name) if name in _HOSTILE else CHAIN_DIR / f"{name}.json"
     documents = {}
     for command in COMMANDS:
         if command == "sample":  # its runaway cap is out of reach on the slow chains

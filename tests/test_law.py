@@ -41,7 +41,7 @@ from skipfree.corpus import (
     random_discrete_chain,
 )
 from skipfree.law import MAX_PMF_TERMS, PMF_BLOCK, default_grid
-from tests.conftest import CHAIN_DIR, GOLDEN_DIR
+from tests.conftest import CHAIN_DIR, GOLDEN_DIR, in_time_unit
 
 
 def test_build_law_worked_values(d1_geometric, d2_mixed, rates12_pure_birth):
@@ -465,3 +465,33 @@ def test_phase_parameters_reproduce_pmf_by_convolution(seed, d):
     table = pmf_table(law)
     convolved = geometric_sum_pmf(params, len(table.support))
     assert np.max(np.abs(np.asarray(table.mass_or_density) - convolved)) <= 1e-9
+
+
+def _desk_continuous_chains():
+    """10 general and 10 birth-death continuous corpus chains at desk scale, d 1-8."""
+    chains = []
+    for make in (random_continuous_chain, random_birth_death_continuous):
+        rng, kept, d = np.random.default_rng(17), 0, 0
+        while kept < 10:
+            d = d % 8 + 1
+            chain = make(rng, d)
+            if desk_scale(chain):
+                chains.append(chain)
+                kept += 1
+    return chains
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-480, -40, 400, 520])
+def test_continuous_answers_do_not_depend_on_the_time_unit(k):
+    # every rate times 2^k is the same law on a clock 2^k times faster
+    unit = 2.0**k
+    for chain in _desk_continuous_chains():
+        scaled = in_time_unit(chain, unit)
+        failed = [name for name, report in verification_reports(scaled) if not report.passed]
+        assert not failed, (chain, failed)
+        law, law_scaled = build_law(chain), build_law(scaled)
+        assert law_scaled.spectrum.classification is law.spectrum.classification
+        if k != 520:  # there the variance is subnormal
+            mean, variance = moments(law)
+            assert moments(law_scaled) == (mean / unit, variance / unit**2)

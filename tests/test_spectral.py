@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skipfree import (
+    ContinuousChain,
+    ConvergenceError,
     RangeError,
     SpectrumClass,
     build_law,
@@ -25,6 +27,7 @@ from skipfree.corpus import (
     random_discrete_chain,
 )
 from skipfree.verify import MEAN_THRESHOLD
+from tests.conftest import in_time_unit
 
 
 def test_classify_cases():
@@ -174,3 +177,28 @@ def test_values_sorted_by_descending_real_part():
     chain = random_discrete_chain(np.random.default_rng(5), 6)
     vals = eigenvalues_discrete(chain).values
     assert all(a.real >= b.real for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", [1e200, 1e-200])
+def test_birth_death_spectrum_where_a_rate_product_leaves_the_normal_range(rate):
+    # up * down is 1e400 (overflow) or 1e-400 (underflow); -Q/rate has eigenvalues (3 +- sqrt 5)/2
+    spectrum = eigenvalues_continuous(ContinuousChain(d=2, up=[rate, rate], down=[[], [rate]]))
+    assert spectrum.classification is SpectrumClass.REAL_NONNEGATIVE
+    expected = [rate * (3 + math.sqrt(5)) / 2, rate * (3 - math.sqrt(5)) / 2]
+    assert [v.real for v in spectrum.values] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_non_finite_eigenvalue_raises(monkeypatch, rates11_coupled):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([np.nan, -1.0]))
+    with pytest.raises(ConvergenceError):
+        eigenvalues_continuous(rates11_coupled)
+
+
+def test_continuous_realness_is_relative_to_each_eigenvalue():
+    chain = random_continuous_chain(np.random.default_rng(1), 4)  # a pair 3.2026 +- 1.3541i
+    unit = 2.0**-40
+    slow = in_time_unit(chain, unit)
+    fast, scaled = eigenvalues_continuous(chain), eigenvalues_continuous(slow)
+    assert fast.classification is scaled.classification is SpectrumClass.COMPLEX
+    assert np.allclose(np.array(scaled.values) / unit, fast.values, rtol=1e-12, atol=0.0)
