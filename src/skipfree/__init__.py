@@ -47,6 +47,7 @@ from .law import (
     pgf,
     phase_representation,
     pmf_table,
+    transient_profile,
 )
 from .oracle import (
     ComparisonReport,
@@ -60,7 +61,6 @@ from .oracle import (
     pmf_by_path_enumeration,
     pmf_by_transform_inversion,
     sample_hitting_times,
-    transient_profile,
 )
 from .spectral import (
     Spectrum,

@@ -13,9 +13,9 @@ A discrete row sums to 1 only within ROW_SUM_TOL, so 1 - r_i and
 p_i + sum_j q_{i,j} may differ by that much, and each route reads one of
 them.  The stored r_i enters through the block: the PMF table, the
 transforms (step 1 - r_i s) and the first-step solve (I - P) h = 1 read it
-there, and so do the path enumeration and the sampler's hold runs.  The
-moments and the sampler's jump totals take 1 - r_i as p_i + sum_j q_{i,j}
-and read no r_i.
+there, and the path enumeration reads it too.  The moments and the sampler,
+its hold runs and its jumps alike, take 1 - r_i as p_i + sum_j q_{i,j}
+(:func:`jump_totals`) and read no r_i.
 """
 
 import json
@@ -268,6 +268,19 @@ def serialize_chain(chain):
     return json.dumps({"type": chain.kind, "d": chain.d, "rows": rows}, indent=2)
 
 
+def jump_totals(chain, size):
+    """Jump totals p_i + sum_j q_{i,j} resp. gamma_i of states 0..size-1, as a list.
+
+    A continuous total past the largest double, which no engine can work
+    with, raises InvariantError.
+    """
+    totals = [chain.up[i] + _sum_of_rates(chain.down[i]) for i in range(size)]
+    if math.inf in totals:
+        row = totals.index(math.inf)
+        raise InvariantError(f"the total exit rate of row {row} passes the largest double")
+    return totals
+
+
 def transient_block(chain, n):
     """Principal (n+1)x(n+1) submatrix over states 0..n.
 
@@ -290,11 +303,7 @@ def transient_block(chain, n):
     if isinstance(chain, DiscreteChain):
         diagonal = chain.hold[:size]
     else:
-        gamma = chain.gamma[:size]
-        if math.inf in gamma:
-            row = gamma.index(math.inf)
-            raise InvariantError(f"the total exit rate of row {row} passes the largest double")
-        diagonal = [-g for g in gamma]
+        diagonal = [-g for g in jump_totals(chain, size)]
     block = np.zeros((size, size))
     for i in range(1, size):
         block[i, :i] = chain.down[i]

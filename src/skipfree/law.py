@@ -16,8 +16,12 @@ is judged too close to a pole relative to the size of its terms, so a
 continuous chain's transforms and moments do not depend on its time unit.
 The discrete PMF is vector iteration on the transient block in blocks of
 PMF_BLOCK powers, with the exact mass left in the transient states as its
-tail bound.  The monomial denominator is computed only on request
-(:attr:`HittingLaw.denom`), for the ``law`` output.
+tail bound.  A continuous table takes partial fractions over distinct real
+phases, else the chain's occupancy by uniformization (Jensen 1953,
+:func:`transient_profile`), kept here so that no oracle is imported; one
+rule, :func:`_grid`, validates every continuous grid.  The monomial
+denominator is computed only on request (:attr:`HittingLaw.denom`), for the
+``law`` output.
 """
 
 import math
@@ -270,11 +274,19 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
 
 
 def _partial_fraction_weights(rates):
+    """w_i = prod_{j != i} lambda_j / (lambda_j - lambda_i) for each i.
+
+    A running product that leaves the double range raises InvariantError,
+    with no warning.
+    """
     rates = np.asarray(rates, dtype=float)
     weights = np.empty_like(rates)
-    for i, lam in enumerate(rates):
-        others = np.delete(rates, i)
-        weights[i] = np.prod(others / (others - lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, lam in enumerate(rates):
+            others = np.delete(rates, i)
+            weights[i] = np.prod(others / (others - lam))
+    if not np.isfinite(weights).all():
+        raise InvariantError("a partial-fraction weight leaves the double range")
     return weights
 
 
@@ -303,6 +315,92 @@ def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
     return np.linspace(0.0, grid_max, points)
 
 
+def _grid(t):
+    """``t`` as a new 1-D float grid; RangeError unless nonempty, finite, sorted and nonnegative."""
+    grid = np.array(t, dtype=float, ndmin=1)
+    valid = grid.ndim == 1 and grid.size and np.all(np.isfinite(grid) & (grid >= 0.0))
+    if not valid or np.any(np.diff(grid) < 0.0):
+        raise RangeError("grid must be nonempty, finite, sorted and nonnegative")
+    return grid
+
+
+def _step_matrix(onestep, rate, gap, tol):
+    """exp(Q gap) within ``tol`` in every row sum.
+
+    Uniformize a short step h = gap / 2^s, the least s with mu = Lambda h <= 1/2:
+    exp(Q h) is the Poisson(mu) mixture of the powers of ``onestep`` = I + Q/Lambda
+    (Jensen 1953), whose weights w_k = w_{k-1} mu / k do not underflow at that
+    size.  Then square s times (Moler & Van Loan 2003).  Each squaring at most
+    doubles the mass the truncated series misses, so the series stops once its
+    tail is below tol / 2^s.  Every product is of nonnegative numbers, but
+    squaring also doubles the rows' relative rounding, so after very many
+    squarings a row sum may overflow; that raises InvariantError.
+    """
+    # Lambda * gap < 2^(a + b) from the binary exponents, since the product may overflow
+    squarings = max(0, math.frexp(rate)[1] + math.frexp(gap)[1] + 1)
+    mu = rate * math.ldexp(gap, -squarings)
+    if squarings and mu <= 0.25:
+        squarings -= 1
+        mu *= 2.0
+    budget = math.ldexp(tol, -squarings)
+    term = np.eye(len(onestep))
+    step = term.copy()
+    k, weight = 0, 1.0  # mu^k / k!
+    # the tail past term k sums to less than twice its first weight
+    while 2.0 * weight * mu / (k + 1) > budget:
+        k += 1
+        weight *= mu / k
+        term = term @ onestep * (mu / k)
+        step += term
+    step *= math.exp(-mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            if not step.any():  # underflowed to zero, which squaring keeps
+                break
+            step = step @ step
+    if not np.isfinite(step).all():  # inf and nan survive every later squaring
+        raise InvariantError(f"the step matrix over a gap of {gap!r} overflows in squaring")
+    return step
+
+
+def transient_profile(chain, t, tol=UNIFORMIZATION_TOL):
+    """Occupancy of the transient states at time t, by uniformization and squaring.
+
+    ``t`` is a scalar or a 1-D array of times, sorted, repeats allowed.
+    Returns e_0^T exp(Q_{d-1} t), of shape (d,) for a scalar and (len(t), d)
+    for an array, every entry within ``tol`` of the exact value.  Each gap g
+    between consecutive times is crossed by one product v <- v exp(Q g).
+    One step matrix serves every equal gap (an evenly spaced grid has a few
+    distinct ones); it is built by :func:`_step_matrix` in
+    O(d^3 log(Lambda g)), Lambda = max gamma_i, with ``tol`` split evenly
+    over the steps.  v stays nonnegative with mass at most 1, so each step
+    adds at most its own share of the error.  Truncating the series only
+    drops mass, so a row whose mass passes 1 + tol was made by rounding,
+    which the squarings amplify; it raises InvariantError.
+    """
+    if not isinstance(chain, ContinuousChain):
+        raise TypeError("transient_profile needs a continuous chain")
+    if not 0.0 < tol < 1.0:
+        raise RangeError(f"tol must be in (0,1), got {tol}")
+    grid = _grid(t)
+    rate = max(chain.gamma)
+    onestep = np.eye(chain.d) + transient_block(chain, chain.d - 1) / rate
+    gaps = np.diff(grid, prepend=0.0).tolist()
+    budget = tol / max(1, np.count_nonzero(gaps))
+    steps = {gap: _step_matrix(onestep, rate, gap, budget) for gap in set(gaps) if gap}
+    occupancy = np.empty((grid.size, chain.d))
+    v = np.zeros(chain.d)
+    v[0] = 1.0
+    for row, gap in enumerate(gaps):
+        if gap:
+            v = v @ steps[gap]
+        occupancy[row] = v
+    mass = occupancy.sum(axis=1).max()
+    if not mass <= 1.0 + tol:  # NaN fails too
+        raise InvariantError(f"a uniformized occupancy has mass 1 + {mass - 1.0:.3e}")
+    return occupancy if np.ndim(t) else occupancy[0]
+
+
 def pdf_cdf_table(law, grid=None, method="auto"):
     """Density and CDF of a continuous law on a grid.
 
@@ -311,14 +409,16 @@ def pdf_cdf_table(law, grid=None, method="auto"):
 
         f(t) = sum_i [prod_{j!=i} lambda_j/(lambda_j - lambda_i)] lambda_i exp(-lambda_i t)
 
-    is used.  Every other spectrum routes through the uniformization engine
-    on the source chain, which is exact up to UNIFORMIZATION_TOL truncation.
+    is used.  Every other spectrum routes through :func:`transient_profile`
+    on the source chain, within UNIFORMIZATION_TOL of every entry.
     ``method`` forces one route; "auto" picks per the rule above.
 
     Raises
     ------
     DegenerateSpectrumError
         If partial_fractions is forced on a near-repeated spectrum.
+    InvariantError
+        If a partial-fraction weight or a uniformized row leaves its range.
     RangeError
         If the grid is empty, not finite, unsorted or negative.
     """
@@ -326,12 +426,7 @@ def pdf_cdf_table(law, grid=None, method="auto"):
         raise ValueError("pdf_cdf_table is defined for continuous laws only")
     if method not in ("auto", "partial_fractions", "uniformization"):
         raise ValueError(f"unknown method {method!r}")
-    if grid is None:
-        grid = default_grid(law)
-    grid = np.array(grid, dtype=float)  # a copy, which the table keeps as its support
-    valid = grid.size and np.all(np.isfinite(grid) & (grid >= 0.0))
-    if not valid or np.any(np.diff(grid) < 0.0):
-        raise RangeError("grid must be nonempty, finite, sorted and nonnegative")
+    grid = _grid(default_grid(law) if grid is None else grid)  # a copy, kept as the support
 
     rates = phase_representation(law)
     separable = _separable(rates)
@@ -352,11 +447,8 @@ def pdf_cdf_table(law, grid=None, method="auto"):
         density = decay @ (w * lam)
         cdf = (1.0 - decay) @ w
     else:
-        # imported here: oracle depends on this module for DistributionTable
-        from .oracle import transient_profile
-
         chain = law.source
-        occupancy = transient_profile(chain, grid, UNIFORMIZATION_TOL)
+        occupancy = transient_profile(chain, grid)
         density = chain.up[chain.d - 1] * occupancy[:, -1]
         cdf = 1.0 - occupancy.sum(axis=1)
 

@@ -4,7 +4,9 @@ Everything here reaches the absorption law through a route disjoint from the
 charpoly/spectral pipeline: dense vector-matrix iteration, literal path
 enumeration, inversion of the stage transform and of the geometric phases'
 product on the unit circle, uniformization of the generator, and Monte
-Carlo simulation.  :func:`report_from_errors` turns pointwise errors into
+Carlo simulation; the uniformization engine is the law's own fallback
+route, :func:`~skipfree.law.transient_profile`, and checks the partial
+fractions here.  :func:`report_from_errors` turns pointwise errors into
 pass/fail reports, and the KS statistics at the bottom compare samples.
 
 Randomness contract, stream version 3: samplers draw from numpy's SFC64 bit
@@ -30,14 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ContinuousChain, DiscreteChain, transient_block
-from .errors import (
-    InvariantError,
-    RangeError,
-    RunawayPathError,
-    SingularSystemError,
-)
-from .law import MAX_PMF_TERMS, DistributionTable, pgf
+from .chains import DiscreteChain, jump_totals, transient_block
+from .errors import RangeError, RunawayPathError, SingularSystemError
+from .law import MAX_PMF_TERMS, UNIFORMIZATION_TOL, DistributionTable, pgf, transient_profile
 
 PATH_STEP_CAP = 10**9
 GUIDE_BUCKETS = 1024  # a power of two, so that u * GUIDE_BUCKETS is exact
@@ -173,89 +170,12 @@ def pmf_by_transform_inversion(law, n_max):
     return _invert_on_circle(lambda z: pgf(law, z), n_max)
 
 
-def _step_matrix(onestep, rate, gap, tol):
-    """exp(Q gap) within ``tol`` in every row sum.
-
-    Uniformize a short step h = gap / 2^s, the least s with mu = Lambda h <= 1/2:
-    exp(Q h) is the Poisson(mu) mixture of the powers of ``onestep`` = I + Q/Lambda
-    (Jensen 1953), whose weights w_k = w_{k-1} mu / k do not underflow at that
-    size.  Then square s times (Moler & Van Loan 2003).  Each squaring at most
-    doubles the mass the truncated series misses, so the series stops once its
-    tail is below tol / 2^s.  Every product is of nonnegative numbers, but
-    squaring also doubles the rows' relative rounding, so after very many
-    squarings a row sum may overflow; that raises InvariantError.
-    """
-    # Lambda * gap < 2^(a + b) from the binary exponents, since the product may overflow
-    squarings = max(0, math.frexp(rate)[1] + math.frexp(gap)[1] + 1)
-    mu = rate * math.ldexp(gap, -squarings)
-    if squarings and mu <= 0.25:
-        squarings -= 1
-        mu *= 2.0
-    budget = math.ldexp(tol, -squarings)
-    term = np.eye(len(onestep))
-    step = term.copy()
-    k, weight = 0, 1.0  # mu^k / k!
-    # the tail past term k sums to less than twice its first weight
-    while 2.0 * weight * mu / (k + 1) > budget:
-        k += 1
-        weight *= mu / k
-        term = term @ onestep * (mu / k)
-        step += term
-    step *= math.exp(-mu)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            if not step.any():  # underflowed to zero, which squaring keeps
-                break
-            step = step @ step
-    if not np.isfinite(step).all():  # inf and nan survive every later squaring
-        raise InvariantError(f"the step matrix over a gap of {gap!r} overflows in squaring")
-    return step
-
-
-def transient_profile(chain, t, tol=1e-10):
-    """Occupancy of the transient states at time t, by uniformization and squaring.
-
-    ``t`` is a scalar or a 1-D array of times, in any order and with repeats.
-    Returns e_0^T exp(Q_{d-1} t), of shape (d,) for a scalar and (len(t), d)
-    for an array, every entry within ``tol`` of the exact value.  The times
-    are visited in sorted order, and each gap g between consecutive times is
-    crossed by one product v <- v exp(Q g).  One step matrix serves every
-    equal gap (an evenly spaced grid has a few distinct ones); it is built by
-    :func:`_step_matrix` in O(d^3 log(Lambda g)), Lambda = max gamma_i, with
-    ``tol`` split evenly over the steps.  v stays nonnegative with mass at
-    most 1, so each step adds at most its own share of the error.
-    """
-    if not isinstance(chain, ContinuousChain):
-        raise TypeError("transient_profile needs a continuous chain")
-    if not 0.0 < tol < 1.0:
-        raise RangeError(f"tol must be in (0,1), got {tol}")
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise RangeError("t must be a scalar or a 1-D array of times")
-    grid = np.atleast_1d(times)
-    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
-        raise RangeError(f"t must be finite and nonnegative, got {t}")
-    rate = max(chain.gamma)
-    onestep = np.eye(chain.d) + transient_block(chain, chain.d - 1) / rate
-    order = np.argsort(grid, kind="stable")
-    gaps = np.diff(grid[order], prepend=0.0).tolist()
-    budget = tol / max(1, np.count_nonzero(gaps))
-    steps = {gap: _step_matrix(onestep, rate, gap, budget) for gap in set(gaps) if gap}
-    occupancy = np.empty((grid.size, chain.d))
-    v = np.zeros(chain.d)
-    v[0] = 1.0
-    for row, gap in zip(order, gaps):
-        if gap:
-            v = v @ steps[gap]
-        occupancy[row] = v
-    return occupancy if times.ndim else occupancy[0]
-
-
-def cdf_by_uniformization(chain, t, tol=1e-10):
+def cdf_by_uniformization(chain, t, tol=UNIFORMIZATION_TOL):
     """P(tau <= t) within ``tol``, via uniformization.
 
-    ``t`` is a scalar (returns a float) or a 1-D array of times (returns an
-    array), as for :func:`transient_profile`.
+    ``t`` is a scalar (returns a float) or a sorted 1-D array of times
+    (returns an array), as for :func:`~skipfree.law.transient_profile`, the
+    engine the law's own tables fall back on.
     """
     return 1.0 - transient_profile(chain, t, tol).sum(axis=-1)
 
@@ -265,14 +185,15 @@ def _jump_keys(chain, levels):
 
     A state's jump total is p_i + sum_j q_ij (discrete: 1 - r_i within the
     row-sum tolerance, and exact when r_i is near 1, but it may exceed 1 by
-    that tolerance) or gamma_i (continuous).  Row i of the
+    that tolerance) or gamma_i (continuous), from :func:`~skipfree.chains.jump_totals`,
+    which raises InvariantError where gamma_i passes the largest double.  Row i of the
     keys holds the cumulative jump probabilities over targets 0..levels,
     offset by 2i so that the rows fill disjoint intervals [2i, 2i+1] of one
     sorted array: a path in state i that draws u jumps to the number of
     row-i keys below 2i + u, one ``searchsorted`` for every path at once;
     :func:`_guide_table` gives that number without the search for most u.
     """
-    totals = np.array([chain.up[i] + math.fsum(chain.down[i]) for i in range(levels)])
+    totals = np.array(jump_totals(chain, levels))
     rows = np.zeros((levels, levels + 1))
     for i in range(levels):
         rows[i, :i] = chain.down[i]

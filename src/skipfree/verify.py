@@ -118,7 +118,7 @@ def verification_reports(chain, seed=0):
         except DegenerateSpectrumError:
             closed = None
         if closed is not None:
-            errs = np.asarray(closed.cumulative) - cdf_by_uniformization(chain, grid, tol=1e-10)
+            errs = np.asarray(closed.cumulative) - cdf_by_uniformization(chain, grid)
             reports.append(
                 ("cdf_vs_uniformization", report_from_errors(errs, CDF_THRESHOLD))
             )

@@ -24,7 +24,11 @@ from skipfree import (
     phase_representation,
     serialize_chain,
 )
-from skipfree.corpus import random_continuous_chain, random_discrete_chain
+from skipfree.corpus import (
+    random_birth_death_continuous,
+    random_continuous_chain,
+    random_discrete_chain,
+)
 from skipfree.cli import COMMANDS, RunConfig, emit_table, parse_table_csv, run
 from tests.conftest import CHAIN_DIR, GOLDEN_DIR, in_time_unit, same_table
 
@@ -307,12 +311,15 @@ def test_fast_chain_at_the_top_of_the_double_range_never_tracebacks(tmp_path, me
 # valid chains whose laws leave the desk scale: a discrete mean of 1.45e16, and a continuous
 # mean of 6.4e23 with a Complex spectrum, which sends its tables down the uniformization route;
 # and continuous chains far from unit rates: products of two rates past the largest double, a
-# total rate past it, a mean of 1e14, and a complex pair 3.2026 +- 1.3541i times 2^-40
+# total rate past it (in row 1 of d = 2, and in rows 1 and 2 of d = 3), a mean of 1e14, and a
+# complex pair 3.2026 +- 1.3541i times 2^-40
 _HOSTILE = {
     "discrete_d24": lambda: random_discrete_chain(np.random.default_rng(1), 24),
     "continuous_d32": lambda: random_continuous_chain(np.random.default_rng(0), 32),
     "rates_1e200": lambda: ContinuousChain(d=2, up=[1e200, 1e200], down=[[], [1e200]]),
     "rates_1e308": lambda: ContinuousChain(d=2, up=[1e308, 1e308], down=[[], [1e308]]),
+    "rates_1e308_d3": lambda: ContinuousChain(
+        d=3, up=[1e308, 1e308, 1.0], down=[[], [1e308], [1e308, 1e308]]),
     "alpha_1e-14": lambda: ContinuousChain(d=1, up=[1e-14]),
     "pair_times_2e-40": lambda: in_time_unit(
         random_continuous_chain(np.random.default_rng(1), 4), 2.0**-40),
@@ -325,14 +332,28 @@ def _hostile_file(tmp_path, name):
     return path
 
 
-@pytest.mark.parametrize("command", ["pdf", "cdf"])
+@pytest.mark.parametrize("command", ["pdf", "cdf", "sample"])
 def test_overflowing_total_rate_exits_2_at_once(tmp_path, command):
-    # gamma_1 = 2e308 is inf, over which a uniformization step would never end; the
-    # subprocess times out after 60 s instead
-    proc = _cli_subprocess(command, _hostile_file(tmp_path, "rates_1e308"))
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == (
-        "error: numerical failure: the total exit rate of row 1 passes the largest double\n")
+    # gamma_1 = 2e308 is inf, over which a uniformization step would never end (the
+    # subprocess times out after 60 s instead) and a sampled path would never jump down
+    for name in ("rates_1e308", "rates_1e308_d3"):
+        proc = _cli_subprocess(command, _hostile_file(tmp_path, name))
+        assert proc.returncode == 2 and proc.stdout == "", name
+        assert proc.stderr == (
+            "error: numerical failure: the total exit rate of row 1 passes the largest double\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_partial_fraction_weights_past_the_double_range_exit_2(tmp_path, seed):
+    # a running product of the weights passes 1e387, which would leave 200 NaN rows
+    chain = random_birth_death_continuous(np.random.default_rng(seed), 1024)
+    path = tmp_path / "birth_death_d1024.json"
+    path.write_text(serialize_chain(chain))
+    for command in ("pdf", "cdf"):
+        proc = _cli_subprocess(command, path)
+        assert proc.returncode == 2 and proc.stdout == "", command
+        assert proc.stderr.startswith("error: numerical failure: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 @pytest.mark.filterwarnings("error")

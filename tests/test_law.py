@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 from fractions import Fraction
 
@@ -495,3 +497,21 @@ def test_continuous_answers_do_not_depend_on_the_time_unit(k):
         if k != 520:  # there the variance is subnormal
             mean, variance = moments(law)
             assert moments(law_scaled) == (mean / unit, variance / unit**2)
+
+
+def test_law_imports_no_oracle_or_caller():
+    # the law is what the oracles check and the CLI prints, so it must not lean on them,
+    # not even through an import inside a function
+    import skipfree.law
+
+    tree = ast.parse(pathlib.Path(skipfree.law.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            if node.module is None:  # from . import name
+                imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"oracle", "verify", "cli", "corpus"}, sorted(imported)

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from skipfree import (
     ContinuousChain,
     DiscreteChain,
+    InvariantError,
     RangeError,
     RunawayPathError,
     SamplerConfig,
+    build_law,
     cdf_by_uniformization,
     expected_hitting_times,
     ks_critical_value,
     ks_two_sample,
+    moments,
     parse_chain,
     pmf_by_matrix_power,
     pmf_by_path_enumeration,
@@ -77,12 +80,13 @@ def test_uniformization_pure_birth(rates12_pure_birth):
 def test_uniformization_matches_expm(seed, d, times):
     from scipy.linalg import expm
 
-    # unsorted, with the first time repeated at the end
-    grid = np.array([0.0] + times + times[:1])
+    # sorted, with the first time repeated
+    grid = np.sort([0.0] + times + times[:1])
     chain = random_continuous_chain(np.random.default_rng(seed), d)
     profiles = transient_profile(chain, grid, tol=1e-12)
     assert profiles.shape == (grid.size, d)
-    assert np.array_equal(profiles[1], profiles[-1])
+    repeat = np.searchsorted(grid, times[0])
+    assert np.array_equal(profiles[repeat], profiles[repeat + 1])
     block = transient_block(chain, d - 1)
     for t, profile in zip(grid, profiles):
         assert np.max(np.abs(profile - expm(block * t)[0])) <= 1e-9
@@ -150,8 +154,17 @@ def test_product_identity_past_the_double_range_fails_without_warning():
     assert close.passed and close.max_abs_err == pytest.approx(PRODUCT_THRESHOLD / 2)
 
 
+def test_uniformization_mass_past_one_raises():
+    # mean 5.8e16: the squarings' rounding grows these rows' mass far past 1, to CDFs of
+    # -7.7e10, -5.9e21 and -3.5e43 when unchecked
+    chain = random_birth_death_continuous(np.random.default_rng(1), 512)
+    mean, _ = moments(build_law(chain))
+    with pytest.raises(InvariantError, match="occupancy has mass 1 "):
+        cdf_by_uniformization(chain, np.array([0.5, 1.0, 2.0]) * mean)
+
+
 def test_uniformization_rejects_bad_times(rate2_single):
-    for bad in (-1.0, [0.0, np.nan], [0.0, np.inf], [[1.0]], []):
+    for bad in (-1.0, [0.0, np.nan], [0.0, np.inf], [[1.0]], [], [1.0, 0.5]):
         with pytest.raises(RangeError):
             transient_profile(rate2_single, bad)
 
