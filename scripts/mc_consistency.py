@@ -41,7 +41,7 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    critical = ks_critical_value(args.ks_paths, args.ks_paths, alpha=0.01)
+    critical = ks_critical_value(args.ks_paths, args.ks_paths)
     print(f"KS 1% critical value at {args.ks_paths} paths: {critical:.5f}\n")
     print(f"{'kind':10s} {'d':>2s} {'mean':>10s} {'empirical':>10s} {'sigmas':>7s} {'KS':>8s}")
     flagged = 0

@@ -18,8 +18,10 @@ its hold runs and its jumps alike, take 1 - r_i as p_i + sum_j q_{i,j}
 (:func:`jump_totals`) and read no r_i.
 """
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +31,32 @@ from .errors import InvariantError, RangeError, SchemaError, ValidationError
 ROW_SUM_TOL = 1e-12
 
 
+def is_integer(x):
+    """Is ``x`` a Python or numpy integer, and not a bool?"""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _real_rows(rows):
+    """A list of ``rows`` in floats; ValidationError unless every entry is a real number, not a bool."""
+    entries = itertools.chain.from_iterable
+    if not {float, int}.issuperset(map(type, entries(rows))):  # one pass in C
+        for kind in set(map(type, entries(rows))) - {float, int}:
+            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+                raise ValidationError(f"chain entries must be real numbers, got {kind.__name__}")
+    return [tuple(map(float, row)) for row in rows]
+
+
 def _as_down_rows(down, d):
-    """Normalize a down-jump table into a tuple of row tuples, row i of length i."""
+    """Check a down-jump table's shape: d rows, row i of length i; zeros when None."""
     if down is None:
-        return tuple(tuple(0.0 for _ in range(i)) for i in range(d))
-    rows = []
-    for i, row in enumerate(down):
-        row = tuple(map(float, row))
+        return tuple((0.0,) * i for i in range(d))
+    rows = tuple(map(tuple, down))
+    for i, row in enumerate(rows):
         if len(row) != i:
             raise ValidationError(f"down-jump row {i} must have length {i}, got {len(row)}", row=i)
-        rows.append(row)
     if len(rows) != d:
         raise ValidationError(f"down-jump table must have {d} rows, got {len(rows)}")
-    return tuple(rows)
+    return rows
 
 
 def _sum_of_rates(rates):
@@ -78,16 +93,16 @@ class DiscreteChain:
     down: tuple = None
 
     def __post_init__(self):
-        d = int(self.d)
-        if d < 1:
+        if not (is_integer(self.d) and self.d >= 1):
             raise ValidationError(f"d must be a positive integer, got {self.d}")
-        hold = tuple(map(float, self.hold))
-        up = tuple(map(float, self.up))
+        d = int(self.d)
+        hold, up = tuple(self.hold), tuple(self.up)
         if len(hold) != d or len(up) != d:
             raise ValidationError(
                 f"need exactly d={d} hold and up entries, got {len(hold)} and {len(up)}"
             )
-        down = _as_down_rows(self.down, d)
+        hold, up, *down = _real_rows((hold, up) + _as_down_rows(self.down, d))
+        down = tuple(down)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "hold", hold)
         object.__setattr__(self, "up", up)
@@ -132,13 +147,14 @@ class ContinuousChain:
     down: tuple = None
 
     def __post_init__(self):
-        d = int(self.d)
-        if d < 1:
+        if not (is_integer(self.d) and self.d >= 1):
             raise ValidationError(f"d must be a positive integer, got {self.d}")
-        up = tuple(map(float, self.up))
+        d = int(self.d)
+        up = tuple(self.up)
         if len(up) != d:
             raise ValidationError(f"need exactly d={d} up rates, got {len(up)}")
-        down = _as_down_rows(self.down, d)
+        up, *down = _real_rows((up,) + _as_down_rows(self.down, d))
+        down = tuple(down)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
@@ -192,8 +208,8 @@ def parse_chain(text):
 
     Parameters
     ----------
-    text : str, bytes or dict
-        UTF-8 JSON document (or already-decoded object) with fields
+    text : str or bytes
+        UTF-8 JSON document with fields
         ``type`` ("discrete" | "continuous"), ``d`` and ``rows``.  Row i
         carries ``r``/``p``/optional ``q`` (discrete) or ``alpha``/optional
         ``beta`` (continuous); ``q[j]`` is the probability of jumping from
@@ -209,14 +225,13 @@ def parse_chain(text):
         Malformed document (bad JSON, missing/extra/ill-typed fields).
     ValidationError
         Structurally sound document violating a chain invariant.
+    TypeError
+        If ``text`` is neither str nor bytes.
     """
-    if isinstance(text, (str, bytes)):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = text
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
     _require_keys(doc, ("type", "d", "rows"), (), "chain spec")
     kind = doc["type"]
     if kind not in ("discrete", "continuous"):
@@ -292,12 +307,12 @@ def transient_block(chain, n):
     Raises
     ------
     RangeError
-        If n is outside 0..d-1.
+        If n is not an integer in 0..d-1.
     InvariantError
         If a continuous chain's total exit rate gamma_i, i <= n, passes the
         largest double, which no engine can work with.
     """
-    if not 0 <= n <= chain.d - 1:
+    if not (is_integer(n) and 0 <= n <= chain.d - 1):
         raise RangeError(f"n must be in 0..{chain.d - 1}, got {n}")
     size = n + 1
     if isinstance(chain, DiscreteChain):

@@ -20,7 +20,6 @@ import numpy as np
 from . import law as law_mod
 from .chains import parse_chain
 from .errors import InputError, NumericalError
-from .law import DistributionTable
 from .oracle import SamplerConfig, sample_hitting_times
 from .spectral import DEFAULT_REAL_TOL
 from .verify import verification_reports
@@ -101,22 +100,6 @@ def emit_table(table, output_format="csv", histogram=False):
     if histogram:
         text += "\n" + "\n".join(_histogram_lines(table))
     return text
-
-
-def parse_table_csv(text):
-    """Read a table back from its CSV rendering (tail bound is not encoded)."""
-
-    def cell(token):
-        try:
-            return int(token)
-        except ValueError:
-            return float(token)
-
-    rows = [line.split(",") for line in text.strip().splitlines()[1:] if line]
-    support = [cell(r[0]) for r in rows]
-    masses = [float(r[1]) for r in rows]
-    cum = [float(r[2]) for r in rows]
-    return DistributionTable(support=support, mass_or_density=masses, cumulative=cum, tail_bound=0.0)
 
 
 def _kv_csv(pairs):

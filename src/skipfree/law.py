@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ContinuousChain, DiscreteChain, transient_block
+from .chains import ContinuousChain, DiscreteChain, is_integer, transient_block
 from .charpoly import continuous_charpoly_seq, discrete_charpoly_seq
 from .errors import (
     DegenerateSpectrumError,
@@ -223,7 +223,7 @@ def _pmf_panel(block, exit_prob):
     return panel.reshape(d, 2 * PMF_BLOCK), power
 
 
-def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
+def pmf_table(law, eps=DEFAULT_PMF_EPS):
     """Exact absorption-time PMF by vector iteration on the transient block.
 
     With v_0 = e_0 and v_n = v_{n-1} P_{d-1}, the mass P(tau = n) is
@@ -243,7 +243,7 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
     RangeError
         If eps is not in (0, 1).
     TailError
-        If the table would exceed ``max_terms``.
+        If the table would exceed MAX_PMF_TERMS rows.
     """
     if law.kind != "discrete":
         raise ValueError("pmf_table is defined for discrete laws only")
@@ -254,12 +254,12 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
     v = np.zeros(chain.d)
     v[0] = 1.0
     blocks = []
-    for start in range(0, max_terms, PMF_BLOCK):
+    for start in range(0, MAX_PMF_TERMS, PMF_BLOCK):
         out = v @ panel
         done = np.flatnonzero(out[PMF_BLOCK:] <= eps)
         if done.size:
             stop = int(done[0]) + 1
-            if start + stop > max_terms:
+            if start + stop > MAX_PMF_TERMS:
                 break
             masses = np.concatenate(blocks + [out[:stop]])
             return DistributionTable(
@@ -270,7 +270,7 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS, max_terms=MAX_PMF_TERMS):
             )
         blocks.append(out[:PMF_BLOCK])
         v = v @ power
-    raise TailError(f"PMF table exceeded {max_terms} terms before the mass left fell to {eps}")
+    raise TailError(f"PMF table exceeded {MAX_PMF_TERMS} terms before the mass left fell to {eps}")
 
 
 def _partial_fraction_weights(rates):
@@ -303,10 +303,10 @@ def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
     """Evaluation grid for continuous tables: ``points`` values on [0, grid_max].
 
     ``grid_max`` defaults to five times the mean absorption time.  Raises
-    RangeError if ``points`` is not in 1..MAX_PMF_TERMS, the row cap of the
-    discrete tables, or ``grid_max`` is not finite.
+    RangeError if ``points`` is not an integer in 1..MAX_PMF_TERMS, the row
+    cap of the discrete tables, or ``grid_max`` is not finite.
     """
-    if not 1 <= points <= MAX_PMF_TERMS:
+    if not (is_integer(points) and 1 <= points <= MAX_PMF_TERMS):
         raise RangeError(f"grid points must be >= 1 and at most {MAX_PMF_TERMS}, got {points}")
     if grid_max is None:
         grid_max = 5.0 * moments(law)[0]
@@ -363,16 +363,16 @@ def _step_matrix(onestep, rate, gap, tol):
     return step
 
 
-def transient_profile(chain, t, tol=UNIFORMIZATION_TOL):
+def transient_profile(chain, t):
     """Occupancy of the transient states at time t, by uniformization and squaring.
 
     ``t`` is a scalar or a 1-D array of times, sorted, repeats allowed.
     Returns e_0^T exp(Q_{d-1} t), of shape (d,) for a scalar and (len(t), d)
-    for an array, every entry within ``tol`` of the exact value.  Each gap g
-    between consecutive times is crossed by one product v <- v exp(Q g).
-    One step matrix serves every equal gap (an evenly spaced grid has a few
-    distinct ones); it is built by :func:`_step_matrix` in
-    O(d^3 log(Lambda g)), Lambda = max gamma_i, with ``tol`` split evenly
+    for an array, every entry within tol = UNIFORMIZATION_TOL of the exact
+    value.  Each gap g between consecutive times is crossed by one product
+    v <- v exp(Q g).  One step matrix serves every equal gap (an evenly
+    spaced grid has a few distinct ones); it is built by :func:`_step_matrix`
+    in O(d^3 log(Lambda g)), Lambda = max gamma_i, with tol split evenly
     over the steps.  v stays nonnegative with mass at most 1, so each step
     adds at most its own share of the error.  Truncating the series only
     drops mass, so a row whose mass passes 1 + tol was made by rounding,
@@ -380,13 +380,11 @@ def transient_profile(chain, t, tol=UNIFORMIZATION_TOL):
     """
     if not isinstance(chain, ContinuousChain):
         raise TypeError("transient_profile needs a continuous chain")
-    if not 0.0 < tol < 1.0:
-        raise RangeError(f"tol must be in (0,1), got {tol}")
     grid = _grid(t)
     rate = max(chain.gamma)
     onestep = np.eye(chain.d) + transient_block(chain, chain.d - 1) / rate
     gaps = np.diff(grid, prepend=0.0).tolist()
-    budget = tol / max(1, np.count_nonzero(gaps))
+    budget = UNIFORMIZATION_TOL / max(1, np.count_nonzero(gaps))
     steps = {gap: _step_matrix(onestep, rate, gap, budget) for gap in set(gaps) if gap}
     occupancy = np.empty((grid.size, chain.d))
     v = np.zeros(chain.d)
@@ -396,7 +394,7 @@ def transient_profile(chain, t, tol=UNIFORMIZATION_TOL):
             v = v @ steps[gap]
         occupancy[row] = v
     mass = occupancy.sum(axis=1).max()
-    if not mass <= 1.0 + tol:  # NaN fails too
+    if not mass <= 1.0 + UNIFORMIZATION_TOL:  # NaN fails too
         raise InvariantError(f"a uniformized occupancy has mass 1 + {mass - 1.0:.3e}")
     return occupancy if np.ndim(t) else occupancy[0]
 

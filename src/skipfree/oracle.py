@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import DiscreteChain, jump_totals, transient_block
+from .chains import DiscreteChain, is_integer, jump_totals, transient_block
 from .errors import RangeError, RunawayPathError, SingularSystemError
-from .law import MAX_PMF_TERMS, UNIFORMIZATION_TOL, DistributionTable, pgf, transient_profile
+from .law import MAX_PMF_TERMS, DistributionTable, pgf, transient_profile
 
 PATH_STEP_CAP = 10**9
 GUIDE_BUCKETS = 1024  # a power of two, so that u * GUIDE_BUCKETS is exact
@@ -49,9 +49,10 @@ class SamplerConfig:
     start_state: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**128:  # kept from stream version 2; SFC64 takes each one
+        # the seed range is kept from stream version 2; paths stop at every table's row cap
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**128):
             raise RangeError(f"seed must be in 0..2**128-1, got {self.seed}")
-        if not 1 <= self.paths <= MAX_PMF_TERMS:  # the row cap of every table
+        if not (is_integer(self.paths) and 1 <= self.paths <= MAX_PMF_TERMS):
             raise RangeError(f"paths must be >= 1 and at most {MAX_PMF_TERMS}, got {self.paths}")
 
 
@@ -170,14 +171,14 @@ def pmf_by_transform_inversion(law, n_max):
     return _invert_on_circle(lambda z: pgf(law, z), n_max)
 
 
-def cdf_by_uniformization(chain, t, tol=UNIFORMIZATION_TOL):
-    """P(tau <= t) within ``tol``, via uniformization.
+def cdf_by_uniformization(chain, t):
+    """P(tau <= t) within UNIFORMIZATION_TOL, via uniformization.
 
     ``t`` is a scalar (returns a float) or a sorted 1-D array of times
     (returns an array), as for :func:`~skipfree.law.transient_profile`, the
     engine the law's own tables fall back on.
     """
-    return 1.0 - transient_profile(chain, t, tol).sum(axis=-1)
+    return 1.0 - transient_profile(chain, t).sum(axis=-1)
 
 
 def _jump_keys(chain, levels):
@@ -240,10 +241,10 @@ def sample_hitting_times(chain, cfg, stop_level=None):
     docstring for the stream contract.  Raises RunawayPathError once a path
     needs more than PATH_STEP_CAP steps.
     """
-    target = chain.d if stop_level is None else int(stop_level)
-    if not 1 <= target <= chain.d:
+    target = chain.d if stop_level is None else stop_level
+    if not (is_integer(target) and 1 <= target <= chain.d):
         raise RangeError(f"stop_level must be in 1..{chain.d}, got {target}")
-    if not 0 <= cfg.start_state < target:
+    if not (is_integer(cfg.start_state) and 0 <= cfg.start_state < target):
         raise RangeError(
             f"start_state must be in 0..{target - 1}, got {cfg.start_state}"
         )
@@ -347,7 +348,7 @@ def ks_two_sample(a, b):
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_critical_value(n, m, alpha=0.01):
-    """Large-sample two-sided KS rejection threshold at level alpha."""
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+def ks_critical_value(n, m):
+    """Large-sample two-sided KS rejection threshold at the 1% level."""
+    c = math.sqrt(-math.log(0.01 / 2.0) / 2.0)
     return c * math.sqrt((n + m) / (n * m))

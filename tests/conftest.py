@@ -1,3 +1,4 @@
+import io
 import pathlib
 
 import numpy as np
@@ -10,12 +11,9 @@ CHAIN_DIR = REPO / "chains"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
-def same_table(a, b):
-    """True iff two DistributionTables hold equal values; tables compare by identity."""
-    return a.tail_bound == b.tail_bound and all(
-        np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("support", "mass_or_density", "cumulative")
-    )
+def csv_rows(text):
+    """The rows of a CSV table document below its header, as a 2-D float array."""
+    return np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
 
 
 def in_time_unit(chain, factor):

@@ -24,9 +24,13 @@ from skipfree.corpus import random_continuous_chain, random_discrete_chain
 
 
 def test_parse_smallest_chain():
-    chain = parse_chain('{"type":"discrete","d":1,"rows":[{"r":0.5,"p":0.5}]}')
+    text = '{"type":"discrete","d":1,"rows":[{"r":0.5,"p":0.5}]}'
+    chain = parse_chain(text)
     assert isinstance(chain, DiscreteChain)
     assert chain.d == 1 and chain.hold == (0.5,) and chain.up == (0.5,)
+    assert parse_chain(text.encode()) == chain
+    with pytest.raises(TypeError):  # a document, not its decoded object
+        parse_chain(json.loads(text))
 
 
 def test_parse_down_jump_row():
@@ -87,6 +91,22 @@ def test_validation_rejects_zero_up_probability():
 def test_validation_rejects_entry_outside_unit_interval():
     with pytest.raises(ValidationError):
         DiscreteChain(d=1, hold=[-0.5], up=[1.5])
+    # d is a Python or numpy integer, not a bool, and every entry a real number
+    for d in (1.9, 2.5, "2", True, np.float64(2.0)):
+        with pytest.raises(ValidationError, match="d must be a positive integer"):
+            DiscreteChain(d=d, hold=[0.5, 0.5], up=[0.5, 0.5])
+        with pytest.raises(ValidationError, match="d must be a positive integer"):
+            ContinuousChain(d=d, up=[1.0, 1.0])
+    for hold, up in ((["0.5"], [0.5]), ([0.5], [True]), ([0.5], [0.5 + 0j])):
+        with pytest.raises(ValidationError, match="entries must be real numbers"):
+            DiscreteChain(d=1, hold=hold, up=up)
+    for up, down in ((["2"], None), ([1.0, 1.0], [[], [True]]), ([1.0, 1.0], [[], ["1"]])):
+        with pytest.raises(ValidationError, match="entries must be real numbers"):
+            ContinuousChain(d=len(up), up=up, down=down)
+    chain = ContinuousChain(d=np.int64(2), up=np.array([1.0, 2.0]),
+                            down=[[], np.array([1], dtype=np.int32)])
+    assert type(chain.d) is int and chain == ContinuousChain(d=2, up=[1, 2], down=[[], [1.0]])
+    assert DiscreteChain(d=np.int32(1), hold=[np.float32(0.5)], up=[0.5]).hold == (0.5,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,6 +163,10 @@ def test_transient_block_range(d2_mixed):
         transient_block(d2_mixed, 2)
     with pytest.raises(RangeError):
         transient_block(d2_mixed, -1)
+    for n in (0.5, 1.0, True, "1"):
+        with pytest.raises(RangeError, match="n must be in 0..1"):
+            transient_block(d2_mixed, n)
+    assert np.array_equal(transient_block(d2_mixed, np.int64(1)), transient_block(d2_mixed, 1))
 
 
 @pytest.mark.parametrize(

@@ -29,8 +29,8 @@ from skipfree.corpus import (
     random_continuous_chain,
     random_discrete_chain,
 )
-from skipfree.cli import COMMANDS, RunConfig, emit_table, parse_table_csv, run
-from tests.conftest import CHAIN_DIR, GOLDEN_DIR, in_time_unit, same_table
+from skipfree.cli import COMMANDS, RunConfig, emit_table, run
+from tests.conftest import CHAIN_DIR, GOLDEN_DIR, csv_rows, in_time_unit
 
 
 def run_cli(capsys, command, path, **overrides):
@@ -94,19 +94,18 @@ def test_pmf_golden_d1(capsys):
     code, out, _ = run_cli(capsys, "pmf", CHAIN_DIR / "d1_geometric.json")
     assert code == 0
     golden = (GOLDEN_DIR / "d1_geometric_pmf.csv").read_text()
-    ours = parse_table_csv(out)
-    theirs = parse_table_csv(golden)
-    assert same_table(ours, theirs)  # 17-digit round trip is exact
+    assert np.array_equal(csv_rows(out), csv_rows(golden))  # 17-digit round trip is exact
 
 
 def test_pmf_golden_d2(capsys):
     code, out, _ = run_cli(capsys, "pmf", CHAIN_DIR / "d2_mixed.json")
-    golden = parse_table_csv((GOLDEN_DIR / "d2_mixed_pmf.csv").read_text())
-    ours = parse_table_csv(out)
-    assert same_table(ours, golden)
-    row3 = dict(zip(ours.support, zip(ours.mass_or_density, ours.cumulative)))[3]
-    assert row3[0] == pytest.approx(0.16, rel=1e-12)
-    assert row3[1] == pytest.approx(0.48, rel=1e-12)
+    golden = csv_rows((GOLDEN_DIR / "d2_mixed_pmf.csv").read_text())
+    ours = csv_rows(out)
+    assert np.array_equal(ours, golden)
+    n, mass, cumulative = ours[2]
+    assert n == 3
+    assert mass == pytest.approx(0.16, rel=1e-12)
+    assert cumulative == pytest.approx(0.48, rel=1e-12)
 
 
 def test_pdf_cdf_commands(capsys):
@@ -249,8 +248,8 @@ def test_csv_round_trip_is_exact():
     rng = np.random.default_rng(3)
     masses = tuple(rng.random(20))
     table = DistributionTable(tuple(range(1, 21)), masses, tuple(np.cumsum(masses)), 0.0)
-    back = parse_table_csv(emit_table(table, "csv"))
-    assert same_table(back, table)
+    columns = np.column_stack([table.support, table.mass_or_density, table.cumulative])
+    assert np.array_equal(csv_rows(emit_table(table, "csv")), columns)
 
 
 @pytest.mark.parametrize(

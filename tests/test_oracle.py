@@ -24,6 +24,7 @@ from skipfree import (
     sample_hitting_times,
     transient_profile,
 )
+from skipfree import law as law_module
 from skipfree.chains import transient_block
 from skipfree.corpus import (
     random_birth_death_continuous,
@@ -83,20 +84,22 @@ def test_uniformization_matches_expm(seed, d, times):
     # sorted, with the first time repeated
     grid = np.sort([0.0] + times + times[:1])
     chain = random_continuous_chain(np.random.default_rng(seed), d)
-    profiles = transient_profile(chain, grid, tol=1e-12)
-    assert profiles.shape == (grid.size, d)
-    repeat = np.searchsorted(grid, times[0])
-    assert np.array_equal(profiles[repeat], profiles[repeat + 1])
-    block = transient_block(chain, d - 1)
-    for t, profile in zip(grid, profiles):
-        assert np.max(np.abs(profile - expm(block * t)[0])) <= 1e-9
-        # the scalar form crosses one gap, the grid a chain of gaps
-        assert np.max(np.abs(profile - transient_profile(chain, t, tol=1e-12))) <= 2e-12
-    cdf = cdf_by_uniformization(chain, grid, tol=1e-12)
-    assert np.array_equal(cdf, 1.0 - profiles.sum(axis=1))
+    with pytest.MonkeyPatch.context() as patch:  # a function-scoped fixture would span examples
+        patch.setattr(law_module, "UNIFORMIZATION_TOL", 1e-12)
+        profiles = transient_profile(chain, grid)
+        assert profiles.shape == (grid.size, d)
+        repeat = np.searchsorted(grid, times[0])
+        assert np.array_equal(profiles[repeat], profiles[repeat + 1])
+        block = transient_block(chain, d - 1)
+        for t, profile in zip(grid, profiles):
+            assert np.max(np.abs(profile - expm(block * t)[0])) <= 1e-9
+            # the scalar form crosses one gap, the grid a chain of gaps
+            assert np.max(np.abs(profile - transient_profile(chain, t))) <= 2e-12
+        cdf = cdf_by_uniformization(chain, grid)
+        assert np.array_equal(cdf, 1.0 - profiles.sum(axis=1))
 
 
-def test_uniformization_past_weight_underflow():
+def test_uniformization_past_weight_underflow(monkeypatch):
     from scipy.linalg import expm
 
     # state 1 falls back to 0 at rate 400, so Lambda * t passes 2000 while
@@ -104,7 +107,8 @@ def test_uniformization_past_weight_underflow():
     chain = ContinuousChain(d=3, up=[1.0, 1.0, 0.5], down=[[], [400.0], [0.0, 0.0]])
     grid = np.array([0.0, 1.0, 6.0])
     assert max(chain.gamma) * grid[-1] >= 2000.0
-    profiles = transient_profile(chain, grid, tol=1e-12)
+    monkeypatch.setattr(law_module, "UNIFORMIZATION_TOL", 1e-12)
+    profiles = transient_profile(chain, grid)
     block = transient_block(chain, chain.d - 1)
     dense = np.array([expm(block * t)[0] for t in grid])
     assert np.max(np.abs(profiles - dense)) <= 1e-9
@@ -245,6 +249,14 @@ def test_sampler_config_ranges():
     for seed in (-1, 2**128):
         with pytest.raises(RangeError, match="seed must be in"):
             SamplerConfig(seed=seed, paths=1)
+    # integers only, Python or numpy, and no bool
+    SamplerConfig(seed=np.uint64(2**64 - 1), paths=np.int32(1))
+    for seed in (1.5, 1.0, True, "1"):
+        with pytest.raises(RangeError, match="seed must be in"):
+            SamplerConfig(seed=seed, paths=1)
+    for paths in (10.5, 3.0, True, "3"):
+        with pytest.raises(RangeError, match="paths must be >= 1 and at most"):
+            SamplerConfig(seed=0, paths=paths)
 
 
 def _searchsorted_waves(chain, cfg, target):
@@ -364,6 +376,16 @@ def test_sampler_rejects_bad_levels(d2_mixed):
         sample_hitting_times(d2_mixed, SamplerConfig(seed=0, paths=1), stop_level=3)
     with pytest.raises(ValueError):
         SamplerConfig(seed=0, paths=0)
+    for start in (0.5, 1.0, True):
+        with pytest.raises(RangeError, match="start_state must be in 0..1"):
+            sample_hitting_times(d2_mixed, SamplerConfig(seed=1, paths=3, start_state=start))
+    for level in (1.5, 1.0, True):
+        with pytest.raises(RangeError, match="stop_level must be in 1..2"):
+            sample_hitting_times(d2_mixed, SamplerConfig(seed=1, paths=3), stop_level=level)
+    cfg = SamplerConfig(seed=1, paths=3, start_state=1)
+    numpy_ints = SamplerConfig(seed=np.uint64(1), paths=np.int32(3), start_state=np.int64(1))
+    assert np.array_equal(sample_hitting_times(d2_mixed, numpy_ints, stop_level=np.int64(2)),
+                          sample_hitting_times(d2_mixed, cfg))
 
 
 def test_expected_hitting_times_worked(d1_geometric, d2_mixed, rates12_pure_birth):
@@ -372,11 +394,20 @@ def test_expected_hitting_times_worked(d1_geometric, d2_mixed, rates12_pure_birt
     assert expected_hitting_times(rates12_pure_birth) == pytest.approx([1.5, 0.5])
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the solve reads the stored holds, "
+                   "whose rows miss 1 by rounding that a slowly absorbing chain amplifies")
+def test_expected_hitting_time_of_a_slowly_absorbing_chain():
+    chain = random_discrete_chain(np.random.default_rng(1), 24)
+    # the stage mean, and the exact rational solve with each hold taken as 1 - p - sum q
+    mean = 6.004464652981843e22
+    assert abs(expected_hitting_times(chain)[0] - mean) <= 1e-8 * mean  # 1.445e16 today
+
+
 def test_ks_statistic_behaviour():
     rng = np.random.default_rng(0)
     a = rng.normal(size=2000)
     b = rng.normal(size=2000)
-    crit = ks_critical_value(2000, 2000, alpha=0.01)
+    crit = ks_critical_value(2000, 2000)
     assert ks_two_sample(a, b) < crit
     assert ks_two_sample(a, b + 0.5) > crit
     assert ks_two_sample(a, a) == 0.0
@@ -393,4 +424,4 @@ def test_stage_sampling_telescopes(seed, d):
     for i in range(d):
         cfg = SamplerConfig(seed=seed + 1 + i, paths=paths, start_state=i)
         staged += sample_hitting_times(chain, cfg, stop_level=i + 1)
-    assert ks_two_sample(direct, staged) < ks_critical_value(paths, paths, alpha=0.01)
+    assert ks_two_sample(direct, staged) < ks_critical_value(paths, paths)
