@@ -195,11 +195,9 @@ def _number(x, where, index=None):
 
 
 def _number_list(x, where):
-    """The entries of a JSON array of numbers; the chain constructors convert them to float."""
+    """The entries of a JSON array of numbers, as floats; the error names the first bad one."""
     if not isinstance(x, list):
         raise SchemaError(f"{where} must be an array")
-    if {float, int}.issuperset(map(type, x)):  # plain numbers, no bool: one pass in C
-        return x
     return [_number(v, where, j) for j, v in enumerate(x)]
 
 
@@ -232,7 +230,11 @@ def parse_chain(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    _require_keys(doc, ("type", "d", "rows"), (), "chain spec")
+    # The document and each row pass a fast test of their key sets and entry types; only what
+    # fails it goes through _require_keys, _number and _number_list, which raise the SchemaError
+    # and format its location.
+    if type(doc) is not dict or doc.keys() != {"type", "d", "rows"}:
+        _require_keys(doc, ("type", "d", "rows"), (), "chain spec")
     kind = doc["type"]
     if kind not in ("discrete", "continuous"):
         raise SchemaError(f'type must be "discrete" or "continuous", got {kind!r}')
@@ -247,22 +249,32 @@ def parse_chain(text):
     if kind == "discrete":
         hold, up = [], []
         for i, row in enumerate(rows):
-            _require_keys(row, ("r", "p"), ("q",), f"row {i}")
-            hold.append(_number(row["r"], f"row {i}.r"))
-            up.append(_number(row["p"], f"row {i}.p"))
-            q = _number_list(row.get("q", []), f"row {i}.q")
+            if type(row) is not dict or row.keys() - {"q"} != {"r", "p"}:
+                _require_keys(row, ("r", "p"), ("q",), f"row {i}")
+            r, p, q = row["r"], row["p"], row.get("q", [])
+            if type(r) not in (float, int) or type(p) not in (float, int):
+                r, p = _number(r, f"row {i}.r"), _number(p, f"row {i}.p")
+            if type(q) is not list or not {float, int}.issuperset(map(type, q)):
+                q = _number_list(q, f"row {i}.q")
             if len(q) not in (0, i):
                 raise SchemaError(f"row {i}.q must have length {i}, got {len(q)}")
+            hold.append(r)
+            up.append(p)
             down.append(q + [0.0] * (i - len(q)))
         return DiscreteChain(d=d, hold=hold, up=up, down=down)
 
     up = []
     for i, row in enumerate(rows):
-        _require_keys(row, ("alpha",), ("beta",), f"row {i}")
-        up.append(_number(row["alpha"], f"row {i}.alpha"))
-        beta = _number_list(row.get("beta", []), f"row {i}.beta")
+        if type(row) is not dict or row.keys() - {"beta"} != {"alpha"}:
+            _require_keys(row, ("alpha",), ("beta",), f"row {i}")
+        alpha, beta = row["alpha"], row.get("beta", [])
+        if type(alpha) not in (float, int):
+            alpha = _number(alpha, f"row {i}.alpha")
+        if type(beta) is not list or not {float, int}.issuperset(map(type, beta)):
+            beta = _number_list(beta, f"row {i}.beta")
         if len(beta) not in (0, i):
             raise SchemaError(f"row {i}.beta must have length {i}, got {len(beta)}")
+        up.append(alpha)
         down.append(beta + [0.0] * (i - len(beta)))
     return ContinuousChain(d=d, up=up, down=down)
 

@@ -15,8 +15,9 @@ suffixes, and no monomial coefficient enters either.  A stage denominator
 is judged too close to a pole relative to the size of its terms, so a
 continuous chain's transforms and moments do not depend on its time unit.
 The discrete PMF is vector iteration on the transient block in blocks of
-PMF_BLOCK powers, with the exact mass left in the transient states as its
-tail bound.  A continuous table takes partial fractions over distinct real
+PMF_BLOCK powers, the masses of a batch of 1, 2, 4, ... blocks taken in one
+product, with the exact mass left in the transient states as its tail
+bound.  A continuous table takes partial fractions over distinct real
 phases, else the chain's occupancy by uniformization (Jensen 1953,
 :func:`transient_profile`), kept here so that no oracle is imported; one
 rule, :func:`_grid`, validates every continuous grid.  The monomial
@@ -204,23 +205,24 @@ def laplace(law, s):
 def _pmf_panel(block, exit_prob):
     """The block route's set-up, by doubling: (panel, P^PMF_BLOCK).
 
-    Column j of the panel's left half is P^j e_{d-1} p_{d-1}, column j of its
-    right half is P^{j+1} 1, for j < PMF_BLOCK; so for any row vector v the
-    product v @ panel holds the next PMF_BLOCK masses and the transient mass
-    left after each of those steps.
+    The panel has shape (2, d, PMF_BLOCK): panel[0, :, j] is
+    P^j e_{d-1} p_{d-1} and panel[1, :, j] is P^{j+1} 1, for j < PMF_BLOCK.
+    So for a stack of row vectors v, (v @ panel)[0] holds the next
+    PMF_BLOCK masses after each v and (v @ panel)[1] the transient mass
+    left after each of those steps.  Each doubling writes the next columns
+    of both halves with one product, in place.
     """
     d = block.shape[0]
-    panel = np.zeros((d, 2, PMF_BLOCK))  # [:, 0, j] exit column j, [:, 1, j] remainder
-    panel[-1, 0, 0] = exit_prob
-    panel[:, 1, 0] = block.sum(axis=1)
+    panel = np.zeros((2, d, PMF_BLOCK))
+    panel[0, -1, 0] = exit_prob
+    panel[1, :, 0] = block.sum(axis=1)
     power = block
     width = 1
     while width < PMF_BLOCK:
-        shifted = power @ panel[:, :, :width].reshape(d, 2 * width)
-        panel[:, :, width : 2 * width] = shifted.reshape(d, 2, width)
+        np.matmul(power, panel[:, :, :width], out=panel[:, :, width : 2 * width])
         power = power @ power
         width *= 2
-    return panel.reshape(d, 2 * PMF_BLOCK), power
+    return panel, power
 
 
 def pmf_table(law, eps=DEFAULT_PMF_EPS):
@@ -228,11 +230,12 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS):
 
     With v_0 = e_0 and v_n = v_{n-1} P_{d-1}, the mass P(tau = n) is
     v_{n-1}[d-1] p_{d-1} and the mass left in the transient states after step
-    n is v_n . 1.  The iteration runs in blocks of PMF_BLOCK steps: each
-    block is two vector-matrix products, v @ panel for the block's masses and
-    remaining masses (see :func:`_pmf_panel`) and v @ P^PMF_BLOCK for the
-    next block's start.  Every product is of nonnegative numbers, so nothing
-    cancels.
+    n is v_n . 1.  The iteration runs in blocks of PMF_BLOCK steps, whose
+    starts v_0, v_PMF_BLOCK, v_{2 PMF_BLOCK}, ... follow one another by
+    v @ P^PMF_BLOCK.  The blocks are taken in batches of 1, 2, 4, ...: the
+    starts of a batch are stacked, and one product starts @ panel gives the
+    masses and remaining masses of all its blocks (see :func:`_pmf_panel`).
+    Every product is of nonnegative numbers, so nothing cancels.
 
     The table stops at the first n whose transient mass left is <= eps, and
     that mass, the exact remainder 1 - sum of the masses up to rounding, is
@@ -251,25 +254,36 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS):
         raise RangeError(f"eps must be in (0,1), got {eps}")
     chain = law.source
     panel, power = _pmf_panel(transient_block(chain, chain.d - 1), chain.up[chain.d - 1])
-    v = np.zeros(chain.d)
-    v[0] = 1.0
-    blocks = []
-    for start in range(0, MAX_PMF_TERMS, PMF_BLOCK):
-        out = v @ panel
-        done = np.flatnonzero(out[PMF_BLOCK:] <= eps)
-        if done.size:
-            stop = int(done[0]) + 1
+    width = panel.shape[2]
+    starts = np.zeros((1, chain.d))  # the batch's block starts, one row each
+    starts[0, 0] = 1.0
+    masses = []
+    start = 0  # steps before the batch
+    while True:
+        out = starts @ panel  # [0] masses, [1] mass left, one row per block
+        left = out[1]
+        if left.min() <= eps:
+            stop = int(np.flatnonzero(left <= eps)[0]) + 1
             if start + stop > MAX_PMF_TERMS:
                 break
-            masses = np.concatenate(blocks + [out[:stop]])
+            masses = np.concatenate(masses + [out[0].ravel()[:stop]])
             return DistributionTable(
                 support=np.arange(1, masses.size + 1, dtype=np.int64),
                 mass_or_density=masses,
-                cumulative=np.cumsum(masses),
-                tail_bound=float(out[PMF_BLOCK + stop - 1]),
+                cumulative=masses.cumsum(),
+                tail_bound=float(left.flat[stop - 1]),
             )
-        blocks.append(out[:PMF_BLOCK])
-        v = v @ power
+        masses.append(out[0].ravel())
+        start += starts.shape[0] * width
+        if start >= MAX_PMF_TERMS:
+            break
+        # twice the blocks, but none that starts past the cap
+        batch = min(2 * starts.shape[0], -(-(MAX_PMF_TERMS - start) // width))
+        following = np.empty((batch, chain.d))
+        np.matmul(starts[-1], power, out=following[0])
+        for i in range(1, batch):
+            np.matmul(following[i - 1], power, out=following[i])
+        starts = following
     raise TailError(f"PMF table exceeded {MAX_PMF_TERMS} terms before the mass left fell to {eps}")
 
 

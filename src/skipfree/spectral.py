@@ -76,21 +76,24 @@ def _build_spectrum(values, cls, tol):
 def _block_eigenvalues(chain):
     """Eigenvalues of the transient block P_{d-1} (resp. Q_{d-1}) by LAPACK.
 
-    A birth-death block is tridiagonal with nonnegative off-diagonal
-    products, so it is diagonally similar to the symmetric tridiagonal with
-    off-diagonal sqrt(m[i,i+1] m[i+1,i]); its spectrum is then taken by the
-    symmetric solver and is real by construction.  Every other block goes to
-    the general nonsymmetric solver.  A solver that fails, or returns a
-    value that is not finite, raises ConvergenceError.
+    The route is read from the chain's rows, not from the block: a chain
+    with no nonzero down jump past the state directly below is birth-death.
+    Its block is tridiagonal with nonnegative off-diagonal products, so it
+    is diagonally similar to the symmetric tridiagonal with off-diagonal
+    sqrt(p_i q_{i+1,i}) (resp. sqrt(alpha_i beta_{i+1,i})); its spectrum is
+    then taken by the symmetric solver and is real by construction.  Every
+    other block goes to the general nonsymmetric solver.  A solver that
+    fails, or returns a value that is not finite, raises ConvergenceError.
     """
     m = transient_block(chain, chain.d - 1)
     try:
-        if np.tril(m, -2).any():  # a down jump past the state directly below
+        if any(any(row[:-1]) for row in chain.down):  # a down jump past the state directly below
             values = np.linalg.eigvals(m)
         else:
+            below = [row[-1] for row in chain.down[1:]]
             # outside the normal range a product overflowed or lost bits: take the roots first
             off = [math.sqrt(u * w) if _TINY <= u * w < math.inf else math.sqrt(u) * math.sqrt(w)
-                   for u, w in zip(m.diagonal(1).tolist(), m.diagonal(-1).tolist())]
+                   for u, w in zip(chain.up, below)]
             # eigvalsh reads only the lower triangle, here the diagonal and the subdiagonal
             m.flat[chain.d :: chain.d + 1] = off
             values = np.linalg.eigvalsh(m)

@@ -73,6 +73,8 @@ def test_parse_continuous():
         ('{"type":"discrete","d":1,"rows":[{"r":"a","p":0.5}]}', "number"),
         ('{"type":"discrete","d":2,"rows":[{"r":0.5,"p":0.5},{"r":0.5,"p":0.4,"q":[0.1,0.2]}]}', "length"),
         ('{"type":"continuous","d":1,"rows":[{"beta":[]}]}', "missing"),
+        ("[1]", "chain spec must be an object, got list"),
+        ('{"type":"discrete","rows":[],"x":1,"y":2}', "chain spec missing field(s): d"),
     ],
 )
 def test_schema_errors(doc, fragment):
@@ -208,3 +210,61 @@ def test_continuous_rows_balance(seed, d):
         assert off + (chain.up[i] if i == d - 1 else 0.0) == pytest.approx(
             chain.gamma[i], rel=1e-12
         )
+
+
+def _rows_doc(kind, rows):
+    return json.dumps({"type": kind, "d": len(rows), "rows": rows})
+
+
+_DISCRETE_ROWS = [{"r": 0.5, "p": 0.5}, {"r": 0.5, "p": 0.25, "q": [0.25]},
+                  {"r": 0.5, "p": 0.25, "q": [0.125, 0.125]}]
+_CONTINUOUS_ROWS = [{"alpha": 1.0}, {"alpha": 1.0, "beta": [2]}, {"alpha": 1.0, "beta": [0.5, 0.5]}]
+
+
+@pytest.mark.parametrize(
+    "kind,i,row,message",
+    [
+        ("discrete", 0, 0.5, "row 0 must be an object, got float"),
+        ("discrete", 1, [0.5, 0.5], "row 1 must be an object, got list"),
+        ("continuous", 2, "row", "row 2 must be an object, got str"),
+        ("continuous", 1, None, "row 1 must be an object, got NoneType"),
+        ("discrete", 1, {"r": 0.5, "p": 0.25, "q": 0.25}, "row 1.q must be an array"),
+        ("discrete", 2, {"r": 0.5, "p": 0.25, "q": {"0": 0.125}}, "row 2.q must be an array"),
+        ("continuous", 1, {"alpha": 1.0, "beta": 2.0}, "row 1.beta must be an array"),
+        ("continuous", 2, {"alpha": 1.0, "beta": None}, "row 2.beta must be an array"),
+        ("discrete", 1, {"r": True, "p": 0.25, "q": [0.25]}, "row 1.r must be a number, got bool"),
+        ("discrete", 1, {"r": "0.5", "p": 0.25, "q": [0.25]}, "row 1.r must be a number, got str"),
+        ("discrete", 2, {"r": 0.5, "p": False, "q": [0.125, 0.125]}, "row 2.p must be a number, got bool"),
+        ("discrete", 2, {"r": 0.5, "p": "x", "q": [0.125, 0.125]}, "row 2.p must be a number, got str"),
+        ("discrete", 2, {"r": 0.5, "p": 0.25, "q": [0.125, True]}, "row 2.q[1] must be a number, got bool"),
+        ("discrete", 2, {"r": 0.5, "p": 0.25, "q": ["0.125", 0.125]}, "row 2.q[0] must be a number, got str"),
+        ("continuous", 1, {"alpha": True}, "row 1.alpha must be a number, got bool"),
+        ("continuous", 1, {"alpha": "1"}, "row 1.alpha must be a number, got str"),
+        ("continuous", 2, {"alpha": 1.0, "beta": [0.5, False]}, "row 2.beta[1] must be a number, got bool"),
+        ("continuous", 2, {"alpha": 1.0, "beta": ["0.5", 0.5]}, "row 2.beta[0] must be a number, got str"),
+        ("discrete", 1, {"r": 0.5, "q": [0.25]}, "row 1 missing field(s): p"),
+        ("discrete", 2, {"p": 0.25}, "row 2 missing field(s): r"),
+        ("discrete", 1, {"r": 0.5, "p": 0.25, "q": [0.25], "z": 1}, "row 1 has unknown field(s): z"),
+        ("continuous", 1, {"beta": [2]}, "row 1 missing field(s): alpha"),
+        ("continuous", 2, {"alpha": 1.0, "gamma": 1.0, "b": 0}, "row 2 has unknown field(s): gamma, b"),
+        # the first fault of a row in the order the fields are read: r, p, then q
+        ("discrete", 1, {"r": "a", "p": True}, "row 1.r must be a number, got str"),
+        ("discrete", 1, {"r": 0.5, "p": "x", "q": "y"}, "row 1.p must be a number, got str"),
+        ("discrete", 2, {"r": 0.5, "p": 0.25, "q": [0.25]}, "row 2.q must have length 2, got 1"),
+    ],
+)
+def test_row_schema_error_messages(kind, i, row, message):
+    rows = list(_DISCRETE_ROWS if kind == "discrete" else _CONTINUOUS_ROWS)
+    parse_chain(_rows_doc(kind, rows))  # the document is valid before the fault goes in
+    rows[i] = row
+    with pytest.raises(SchemaError) as err:
+        parse_chain(_rows_doc(kind, rows))
+    assert str(err.value) == message
+
+
+def test_first_faulty_row_is_reported():
+    rows = list(_DISCRETE_ROWS)
+    rows[1] = {"r": "a", "p": 0.25, "q": [0.25]}
+    rows[2] = {"r": 0.5}
+    with pytest.raises(SchemaError, match=r"^row 1\.r must be a number, got str$"):
+        parse_chain(_rows_doc("discrete", rows))

@@ -178,6 +178,65 @@ def test_pmf_stops_at_block_edges(request, name, length):
     assert np.max(np.abs(np.subtract(table.mass_or_density, steps))) <= 1e-15
 
 
+def _per_block_length(chain, eps):
+    """(length, tail bound) of the table by one v @ panel and one v @ P^PMF_BLOCK per block."""
+    panel, power = law_module._pmf_panel(transient_block(chain, chain.d - 1), chain.up[-1])
+    left = panel[1]
+    v = np.zeros(chain.d)
+    v[0] = 1.0
+    start = 0
+    while True:
+        mass_left = v @ left
+        done = np.flatnonzero(mass_left <= eps)
+        if done.size:
+            return start + int(done[0]) + 1, float(mass_left[done[0]])
+        start += left.shape[1]
+        v = v @ power
+
+
+def _check_small_blocks(chain):
+    """With PMF_BLOCK = 4, the table meets the step oracle and the per-block loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(law_module, "PMF_BLOCK", 4)
+        table = pmf_table(build_law(chain))
+        length, tail = _per_block_length(chain, 1e-12)
+    assert len(table.support) == length
+    assert table.tail_bound == pytest.approx(tail, rel=1e-14, abs=0.0)
+    steps = pmf_by_matrix_power(chain, max(length, chain.d)).mass_or_density[:length]
+    assert np.max(np.abs(table.mass_or_density - steps)) <= 1e-15
+
+
+def test_small_blocks_on_shipped_chains():
+    chains = [parse_chain(path.read_text()) for path in sorted(CHAIN_DIR.glob("*.json"))]
+    discrete = [chain for chain in chains if chain.kind == "discrete"]
+    assert len(discrete) >= 4
+    for chain in discrete:
+        _check_small_blocks(chain)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
+def test_small_blocks_on_random_chains(seed, d):
+    chain = random_discrete_chain(np.random.default_rng(seed), d)
+    assume(desk_scale(chain))
+    _check_small_blocks(chain)
+
+
+@pytest.mark.parametrize("stop", [6, 10, 29, 38, 40])
+def test_small_blocks_at_the_term_cap(d1_geometric, monkeypatch, stop):
+    # blocks of 4 in batches of 1, 2, 4, 8 blocks: steps 6 and 10 fall in the two blocks of the
+    # second batch, 29 opens the fourth batch, and 38 and 40 fall in its third block
+    eps = 0.5 ** (stop - 0.5)  # the mass left after n steps is 0.5^n
+    law = build_law(d1_geometric)
+    monkeypatch.setattr(law_module, "PMF_BLOCK", 4)
+    monkeypatch.setattr(law_module, "MAX_PMF_TERMS", stop)
+    table = pmf_table(law, eps=eps)
+    assert len(table.support) == stop and table.tail_bound == 0.5**stop
+    monkeypatch.setattr(law_module, "MAX_PMF_TERMS", stop - 1)
+    with pytest.raises(TailError):
+        pmf_table(law, eps=eps)
+
+
 def _first_step_second_moment(chain):
     """E[tau^2] from state 0: (I - P) h2 = 2h - 1, or -Q h2 = 2h."""
     h = expected_hitting_times(chain)

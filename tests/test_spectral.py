@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from skipfree import (
     ContinuousChain,
     ConvergenceError,
+    DiscreteChain,
     RangeError,
     SpectrumClass,
     build_law,
@@ -202,3 +203,36 @@ def test_continuous_realness_is_relative_to_each_eigenvalue():
     fast, scaled = eigenvalues_continuous(chain), eigenvalues_continuous(slow)
     assert fast.classification is scaled.classification is SpectrumClass.COMPLEX
     assert np.allclose(np.array(scaled.values) / unit, fast.values, rtol=1e-12, atol=0.0)
+
+
+def _solver_spy(monkeypatch):
+    """Record which LAPACK route each spectrum takes: a list of "eigvals"/"eigvalsh"."""
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, _name=name, _solver=solver: calls.append(_name) or _solver(m))
+    return calls
+
+
+def test_route_is_read_from_the_chain_rows(monkeypatch):
+    # explicit zeros of both signs below the subdiagonal are no down jump past the state below
+    hold, up = [0.5, 0.5, 0.4, 0.6], [0.5, 0.3, 0.3, 0.2]
+    sub = [[], [0.2], [0.0, 0.3], [-0.0, 0.0, 0.2]]
+    # the symmetric tridiagonal that route diagonalizes, built entry by entry
+    sym = np.diag(hold)
+    for i in range(3):
+        sym[i + 1, i] = math.sqrt(up[i] * sub[i + 1][i])
+    expected = sorted(np.linalg.eigvalsh(sym).tolist(), reverse=True)
+    calls = _solver_spy(monkeypatch)
+    spectrum = eigenvalues_discrete(DiscreteChain(d=4, hold=hold, up=up, down=sub))
+    rates = eigenvalues_continuous(ContinuousChain(d=3, up=[1.0, 2.0, 0.5], down=[[], [0.7], [-0.0, 1.5]]))
+    assert calls == ["eigvalsh", "eigvalsh"]
+    assert [v.real for v in spectrum.values] == expected
+    assert spectrum.classification is rates.classification is SpectrumClass.REAL_NONNEGATIVE
+    # one nonzero jump two levels down takes the general solver
+    calls.clear()
+    down = [[], [0.2], [0.0, 0.3], [1e-300, 0.0, 0.2]]
+    eigenvalues_discrete(DiscreteChain(d=4, hold=hold, up=up, down=down))
+    eigenvalues_continuous(ContinuousChain(d=3, up=[1.0, 2.0, 0.5], down=[[], [0.7], [0.1, 1.5]]))
+    assert calls == ["eigvals", "eigvals"]
