@@ -19,7 +19,6 @@ from .chains import (
 from .charpoly import (
     Polynomial,
     continuous_charpoly_seq,
-    direct_determinant,
     discrete_charpoly_seq,
 )
 from .errors import (

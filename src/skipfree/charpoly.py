@@ -8,8 +8,8 @@ The central objects are the polynomial sequences
 computed coefficient-by-coefficient through one lower-Hessenberg bottom-row
 recurrence for det(x I_n - M_n) (:func:`_charpoly_seq`) rather than by any
 dense determinant; the discrete sequence is its coefficients reversed.  Only
-the ``law`` output reads them; ``verify`` holds the stage denominators'
-products against the dense route, :func:`direct_determinant`.
+the ``law`` output reads them.  ``verify`` checks the same determinants
+another way: the stage denominators' products against Hyman's method.
 """
 
 from dataclasses import dataclass
@@ -92,47 +92,3 @@ def continuous_charpoly_seq(chain):
     u = alpha in the recurrence of :func:`_charpoly_seq`.
     """
     return [Polynomial(tuple(c)) for c in _charpoly_seq(chain)]
-
-
-def _shifted_stack(matrix, s, kind):
-    """(points, matrices): I - s M (resp. s I - M) stacked over the points of ``s``.
-
-    ``points`` is ``s`` as an array of dimension 0 or 1, and ``matrices`` has
-    shape (points, n, n) either way; see :func:`direct_determinant`.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    points = np.asarray(s)
-    points = points.astype(np.result_type(points, float))
-    if points.ndim > 1:
-        raise ValueError("s must be a scalar or a 1-D array of points")
-    at = np.atleast_1d(points)
-    n = m.shape[0]
-    # one (points, n, n) buffer: -s M (resp. -M) with 1 (resp. s) added to each diagonal
-    if kind == "discrete":
-        matrices = at[:, None, None] * -m
-        matrices.reshape(at.size, n * n)[:, :: n + 1] += 1.0
-    elif kind == "continuous":
-        matrices = np.empty((at.size, n, n), dtype=at.dtype)
-        matrices[:] = -m
-        matrices.reshape(at.size, n * n)[:, :: n + 1] += at[:, None]
-    else:
-        raise ValueError(f'kind must be "discrete" or "continuous", got {kind!r}')
-    return points, matrices
-
-
-def direct_determinant(matrix, s, kind):
-    """Dense-determinant oracle: det(I - s M) or det(s I - M).
-
-    ``s`` is a real or complex scalar or a 1-D array of points (returns an
-    array): the matrices of all the points are stacked and factored in one
-    ``np.linalg.det`` call, by LU with partial pivoting on each.  This is
-    the brute-force cross-check for the recurrences above and the law's
-    transforms, and is deliberately independent of both.  ``verify`` takes
-    ``np.linalg.slogdet`` of the same stack, which leaves the double range
-    only in its logarithm.
-    """
-    points, matrices = _shifted_stack(matrix, s, kind)
-    dets = np.linalg.det(matrices)
-    return dets if points.ndim else dets[0].item()

@@ -1,18 +1,18 @@
 """Cross-check every closed form of one chain against its oracles.
 
 Each check pairs an output of the spectral/law pipeline with an independent
-route (dense determinants against the stage denominators, the eigenvalue
-product, the stage transform and the geometric phases inverted on the unit
-circle, uniformization, first-step linear systems) and reduces the pointwise
-errors to a ComparisonReport.  The CLI's ``verify`` command and the corpus
-scripts are thin wrappers over :func:`verification_reports`.
+route (prefix determinants by Hyman's method, O(d^3) for all prefixes at
+once, against the stage denominators; the eigenvalue product; the stage
+transform and the geometric phases inverted on the unit circle;
+uniformization; first-step linear systems) and reduces the pointwise errors
+to a ComparisonReport.  The CLI's ``verify`` command and the corpus scripts
+are thin wrappers over :func:`verification_reports`.
 """
 
 import numpy as np
 
-from .chains import DiscreteChain, transient_block
+from .chains import DiscreteChain, is_integer, transient_block
 from .errors import DegenerateSpectrumError, RangeError
-from .charpoly import _shifted_stack
 from .law import (
     _transform,
     build_law,
@@ -41,8 +41,41 @@ CDF_THRESHOLD = 1e-7
 DET_POINTS = 20  # the points s at which charpoly_vs_determinant compares each prefix
 
 
+def _prefix_slogdets(block, s, discrete):
+    """(sign, log|det|) of A_n = I - s M_n (resp. s I - M_n) for every prefix n, each (d, points).
+
+    Hyman's method from the top (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 14.6.1).  A_n = a I - b M_n is lower Hessenberg.  The y with y_n = 1 and
+    y^T A_n[:, 1:] = 0 follows from column n down, y_{j-1} = (a y_j - b (y . M[:, j])) /
+    (b M_{j-1,j}), and then det A_n = (-1)^n (y . A_n[:, 0]) prod_{i<n} A_{i,i+1}
+    = (y . A_n[:, 0]) prod_{i<n} b M_{i,i+1}.  Row n of ``y`` is prefix n's vector, so step j
+    fills column j - 1 of every row n >= j at once; a row whose new entry passes 1e100 is
+    divided by it, and the log kept aside.  The method starts from each prefix's top state
+    and the stage recursion from state 0, so the two share no intermediate.
+    """
+    d = block.shape[0]
+    a, b = (1.0, s[:, None]) if discrete else (s[:, None], 1.0)
+    y = np.zeros((s.size, d, d))
+    y[:, range(d), range(d)] = 1.0
+    log_scale = np.zeros((s.size, d))
+    for j in range(d - 1, 0, -1):
+        column = (a * y[:, j:, j] - b * (y[:, j:, j:] @ block[j:, j])) / (b * block[j - 1, j])
+        y[:, j:, j - 1] = column
+        point, row = np.nonzero(np.abs(column) > 1e100)
+        if point.size:
+            size = np.abs(column[point, row])
+            y[point, row + j] /= size[:, None]
+            log_scale[point, row + j] += np.log(size)
+    gamma = a * y[:, :, 0] - b * (y @ block[:, 0])
+    n = np.arange(d)
+    log_up = np.concatenate(([0.0], np.cumsum(np.log(block.diagonal(1)))))
+    sign = np.sign(gamma) * np.sign(b) ** n
+    logabsdet = np.log(np.abs(gamma)) + log_scale + n * np.log(np.abs(b)) + log_up
+    return sign.T, logabsdet.T
+
+
 def _determinant_errors(law, rng):
-    """Prefix determinants as products of stage denominators against dense LU, in signed logs.
+    """Prefix determinants as products of stage denominators against Hyman's method, in signed logs.
 
     The error (ratio - direct) / (1 + |direct|) is evaluated with its numerator and its
     denominator scaled by exp(-max(0, log|direct|)), which changes nothing in exact
@@ -50,18 +83,15 @@ def _determinant_errors(law, rng):
     double.  An error that still overflows is inf, and inf or NaN fails.
     """
     chain = law.source
-    lo, hi = (-1.0, 1.0) if chain.kind == "discrete" else (0.0, 5.0)
+    discrete = chain.kind == "discrete"
+    lo, hi = (-1.0, 1.0) if discrete else (0.0, 5.0)
     s = rng.uniform(lo, hi, size=DET_POINTS)
     _, denominators = _transform(law, s)
     log_ratio = np.cumsum(np.log(np.abs(denominators)), axis=0)
     sign_ratio = np.cumprod(np.sign(denominators), axis=0)
-    block = transient_block(chain, chain.d - 1)
-    prefixes = [np.linalg.slogdet(_shifted_stack(block[: n + 1, : n + 1], s, chain.kind)[1])
-                for n in range(chain.d)]
-    sign = np.array([p.sign for p in prefixes])
-    log_direct = np.array([p.logabsdet for p in prefixes])
-    shift = np.maximum(0.0, log_direct)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sign, log_direct = _prefix_slogdets(transient_block(chain, chain.d - 1), s, discrete)
+        shift = np.maximum(0.0, log_direct)
         gap = sign_ratio * np.exp(log_ratio - shift) - sign * np.exp(log_direct - shift)
         return (gap / (np.exp(-shift) + np.exp(log_direct - shift))).ravel()
 
@@ -79,11 +109,11 @@ def verification_reports(chain, seed=0):
 
     Returns an ordered list of (check name, ComparisonReport).  Checks that
     need a special spectrum (geometric phases, hypoexponential CDF)
-    are emitted only when the spectrum qualifies.  Raises RangeError if
-    ``seed`` is negative.
+    are emitted only when the spectrum qualifies.  Raises RangeError unless
+    ``seed`` is an integer >= 0.
     """
-    if seed < 0:
-        raise RangeError(f"seed must be >= 0, got {seed}")
+    if not (is_integer(seed) and seed >= 0):
+        raise RangeError(f"seed must be >= 0 and an integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     law = build_law(chain)
     discrete = isinstance(chain, DiscreteChain)

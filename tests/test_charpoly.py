@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from skipfree import (
     Polynomial,
     continuous_charpoly_seq,
-    direct_determinant,
     discrete_charpoly_seq,
     transient_block,
 )
@@ -39,30 +38,6 @@ def test_continuous_seq_worked_chains(rate2_single, rates12_pure_birth, rates11_
     assert continuous_charpoly_seq(rates11_coupled)[2].coeffs == (1.0, 3.0, 1.0)
 
 
-def test_direct_determinant_values(d2_mixed):
-    assert direct_determinant([[0.5]], 1.0, "discrete") == pytest.approx(0.5)
-    assert direct_determinant(transient_block(d2_mixed, 1), 1.0, "discrete") == pytest.approx(0.32)
-    assert direct_determinant([[-1, 1], [0, -2]], 0.0, "continuous") == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        direct_determinant([[0.5]], 1.0, "laplace")
-    with pytest.raises(ValueError):
-        direct_determinant([[1, 2, 3]], 1.0, "discrete")
-
-
-@pytest.mark.parametrize("kind", ["discrete", "continuous"])
-def test_direct_determinant_over_points_equals_scalar_calls(kind):
-    rng = np.random.default_rng(9)
-    make = random_discrete_chain if kind == "discrete" else random_continuous_chain
-    block = transient_block(make(rng, 6), 5)
-    points = rng.uniform(-1.0, 5.0, size=17)
-    batched = direct_determinant(block, points, kind)
-    assert batched.shape == points.shape
-    assert np.array_equal(batched, [direct_determinant(block, s, kind) for s in points])
-    assert isinstance(direct_determinant(block, points[0], kind), float)
-    with pytest.raises(ValueError):
-        direct_determinant(block, points.reshape(1, -1), kind)
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 10))
 def test_discrete_recurrence_agrees_with_determinants(seed, d):
@@ -72,7 +47,7 @@ def test_discrete_recurrence_agrees_with_determinants(seed, d):
     for n in range(d):
         block = transient_block(chain, n)
         for s in rng.uniform(-1.0, 1.0, size=20):
-            direct = direct_determinant(block, s, "discrete")
+            direct = np.linalg.det(np.eye(n + 1) - s * block)
             value = np.polyval(seq[n + 1].coeffs[::-1], s)
             assert abs(value - direct) <= 1e-10 * (1 + abs(direct))
 
@@ -86,7 +61,7 @@ def test_continuous_recurrence_agrees_with_determinants(seed, d):
     for n in range(d):
         block = transient_block(chain, n)
         for s in rng.uniform(0.0, 5.0, size=20):
-            direct = direct_determinant(block, s, "continuous")
+            direct = np.linalg.det(s * np.eye(n + 1) - block)
             value = np.polyval(seq[n + 1].coeffs[::-1], s)
             assert abs(value - direct) <= 1e-10 * (1 + abs(direct))
 

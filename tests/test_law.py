@@ -19,7 +19,6 @@ from skipfree import (
     SpectrumClass,
     TailError,
     build_law,
-    direct_determinant,
     expected_hitting_times,
     geometric_sum_pmf,
     laplace,
@@ -58,10 +57,11 @@ def test_build_law_worked_values(d1_geometric, d2_mixed, rates12_pure_birth):
 
 
 def _determinant_transform(law, s):
-    """leading s^d / det(I - s P) or leading / det(s I - Q), by dense LU."""
-    chain = law.source
-    det = direct_determinant(transient_block(chain, chain.d - 1), s, law.kind)
-    return law.leading * (s**law.d if law.kind == "discrete" else 1.0) / det
+    """leading s^d / det(I - s P) or leading / det(s I - Q) at the points s, by dense LU."""
+    block, eye = transient_block(law.source, law.d - 1), np.eye(law.d)
+    if law.kind == "discrete":
+        return law.leading * s**law.d / np.linalg.det(eye - s[:, None, None] * block)
+    return law.leading / np.linalg.det(s[:, None, None] * eye - block)
 
 
 def test_pgf_values(d1_geometric, d2_mixed, d3_pure_birth):

@@ -34,8 +34,16 @@ from skipfree.corpus import (
 )
 from skipfree.law import MAX_PMF_TERMS
 from skipfree.oracle import GUIDE_BUCKETS, _guide_table, _jump_keys
-from skipfree.verify import PRODUCT_THRESHOLD, _product_identity, verification_reports
-from tests.conftest import CHAIN_DIR
+from skipfree import verify as verify_module
+from skipfree.verify import (
+    DET_POINTS,
+    DET_THRESHOLD,
+    PRODUCT_THRESHOLD,
+    _prefix_slogdets,
+    _product_identity,
+    verification_reports,
+)
+from tests.conftest import CHAIN_DIR, in_time_unit
 
 
 def test_matrix_power_geometric(d1_geometric):
@@ -130,22 +138,99 @@ def test_uniformization_at_long_times():
 
 
 @pytest.mark.parametrize(
-    "family,d,oracle_check",
+    "family,d,seeds,oracle_check",
     [
-        pytest.param(random_birth_death_continuous, 64, "cdf_vs_uniformization", id="64"),
-        pytest.param(random_birth_death_continuous, 128, "cdf_vs_uniformization", id="128"),
-        pytest.param(random_birth_death_discrete, 64, "pmf_vs_geometric_convolution",
+        pytest.param(random_birth_death_continuous, 64, (0, 1, 2), "cdf_vs_uniformization",
+                     id="64"),
+        pytest.param(random_birth_death_continuous, 128, (0, 1, 2), "cdf_vs_uniformization",
+                     id="128"),
+        pytest.param(random_birth_death_continuous, 256, (0, 1), "cdf_vs_uniformization",
+                     id="256"),
+        pytest.param(random_birth_death_continuous, 256, (2,), "cdf_vs_uniformization",
+                     id="256-seed2", marks=pytest.mark.xfail(
+                         strict=True, reason="ROADMAP item 1: mean 4.1e10, and laplace_at_zero, "
+                         "eigen_product_identity, cdf_vs_uniformization and "
+                         "mean_vs_linear_system fail")),
+        pytest.param(random_birth_death_discrete, 64, (0, 1, 2), "pmf_vs_geometric_convolution",
                      id="discrete-64"),
-        pytest.param(random_birth_death_discrete, 128, "pmf_vs_geometric_convolution",
-                     id="discrete-128"),
+        pytest.param(random_birth_death_discrete, 128, (0, 1, 2),
+                     "pmf_vs_geometric_convolution", id="discrete-128"),
+        pytest.param(random_birth_death_discrete, 256, (0, 1, 2),
+                     "pmf_vs_geometric_convolution", id="discrete-256"),
     ],
 )
-def test_verify_passes_on_large_birth_death_continuous(family, d, oracle_check):
-    for seed in (0, 1, 2):
+def test_verify_passes_on_large_birth_death_continuous(family, d, seeds, oracle_check):
+    for seed in seeds:
         chain = family(np.random.default_rng(seed), d)
         reports = verification_reports(chain)
         assert oracle_check in dict(reports)
         assert all(report.passed for _, report in reports), reports
+
+
+def _dense_slogdets(block, s, discrete):
+    """np.linalg.slogdet of I - s M_n (resp. s I - M_n) for every prefix n, each (d, points)."""
+    prefixes = []
+    for n in range(1, block.shape[0] + 1):
+        eye, m, at = np.eye(n), block[:n, :n], s[:, None, None]
+        prefixes.append(np.linalg.slogdet(eye - at * m if discrete else at * eye - m))
+    return np.array([p.sign for p in prefixes]), np.array([p.logabsdet for p in prefixes])
+
+
+@pytest.mark.parametrize("family", [random_discrete_chain, random_continuous_chain,
+                                    random_birth_death_discrete, random_birth_death_continuous])
+def test_prefix_slogdets_match_dense_lu(family):
+    rng = np.random.default_rng(5)
+    for d in range(1, 11):
+        for _ in range(3):
+            chain = family(rng, d)
+            discrete = chain.kind == "discrete"
+            lo, hi = (-1.0, 1.0) if discrete else (0.0, 5.0)
+            s = rng.uniform(lo, hi, DET_POINTS)
+            block = transient_block(chain, d - 1)
+            sign, log = _prefix_slogdets(block, s, discrete)
+            dense_sign, dense_log = _dense_slogdets(block, s, discrete)
+            assert sign.shape == log.shape == (d, DET_POINTS)
+            assert np.array_equal(sign, dense_sign)
+            # the check's error, (ratio - direct) / (1 + |direct|), with every determinant in range
+            error = np.abs(np.exp(log) - np.exp(dense_log)) / (1.0 + np.exp(dense_log))
+            assert error.max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_prefix_slogdets_past_the_double_range():
+    # as drawn, rows of y pass 1e100 and move to the log scale; with every rate times 16
+    # the prefix determinants pass the largest double as well
+    chain = random_birth_death_continuous(np.random.default_rng(0), 256)
+    s = np.random.default_rng(0).uniform(0.0, 5.0, DET_POINTS)
+    for factor in (1.0, 16.0):
+        block = transient_block(in_time_unit(chain, factor), chain.d - 1)
+        sign, log = _prefix_slogdets(block, s, False)
+        assert np.all(np.isfinite(log)) and np.all(sign == 1.0)
+        dense = np.linalg.slogdet(s[:, None, None] * np.eye(chain.d) - block)
+        assert np.max(np.abs(log[-1] - dense.logabsdet)) <= DET_THRESHOLD
+    assert log.max() > 709.0
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CHAIN_DIR.glob("*.json")))
+def test_determinant_check_fails_on_one_perturbed_stage(name, monkeypatch):
+    chain = parse_chain((CHAIN_DIR / name).read_text())
+    assert all(report.passed for _, report in verification_reports(chain))
+
+    def perturbed(law, s):
+        value, denominators = law_module._transform(law, s)
+        denominators[0] *= 1.0 + 1e-8
+        return value, denominators
+
+    monkeypatch.setattr(verify_module, "_transform", perturbed)
+    failed = [check for check, report in verification_reports(chain) if not report.passed]
+    assert failed == ["charpoly_vs_determinant"]
+
+
+def test_verify_seed_must_be_a_nonnegative_integer(d2_mixed):
+    for seed in (1.5, True, -1):
+        with pytest.raises(RangeError, match="seed must be >= 0 and an integer"):
+            verification_reports(d2_mixed, seed=seed)
+    assert verification_reports(d2_mixed, seed=np.int64(3)) == verification_reports(d2_mixed, seed=3)
 
 
 @pytest.mark.filterwarnings("error")
