@@ -13,7 +13,6 @@ from .chains import (
     ContinuousChain,
     DiscreteChain,
     parse_chain,
-    serialize_chain,
     transient_block,
 )
 from .charpoly import (
@@ -57,7 +56,6 @@ from .oracle import (
     ks_critical_value,
     ks_two_sample,
     pmf_by_matrix_power,
-    pmf_by_path_enumeration,
     pmf_by_transform_inversion,
     sample_hitting_times,
 )

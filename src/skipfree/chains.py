@@ -13,9 +13,8 @@ A discrete row sums to 1 only within ROW_SUM_TOL, so 1 - r_i and
 p_i + sum_j q_{i,j} may differ by that much, and each route reads one of
 them.  The stored r_i enters through the block: the PMF table, the
 transforms (step 1 - r_i s) and the first-step solve (I - P) h = 1 read it
-there, and the path enumeration reads it too.  The moments and the sampler,
-its hold runs and its jumps alike, take 1 - r_i as p_i + sum_j q_{i,j}
-(:func:`jump_totals`) and read no r_i.
+there.  The moments and the sampler, its hold runs and its jumps alike,
+take 1 - r_i as p_i + sum_j q_{i,j} (:func:`jump_totals`) and read no r_i.
 """
 
 import itertools
@@ -138,8 +137,9 @@ class ContinuousChain:
     down : sequence of sequences, optional
         Down-jump rates; row i lists beta_{i,j} for j = 0..i-1.
 
-    The total exit rate gamma_i = alpha_i + sum_j beta_{i,j} is derived,
-    never stored, so generator rows balance exactly by construction.
+    The total exit rate gamma_i = alpha_i + sum_j beta_{i,j} is derived by
+    :func:`jump_totals`, never stored, so generator rows balance exactly by
+    construction.
     """
 
     d: int
@@ -164,11 +164,6 @@ class ContinuousChain:
             for x in down[i]:
                 if not math.isfinite(x) or x < 0.0:
                     raise ValidationError(f"row {i} has down rate {x} < 0", row=i)
-
-    @property
-    def gamma(self):
-        """Total exit rates gamma_i = alpha_i + sum_j beta_{i,j}; inf past the largest double."""
-        return tuple(self.up[i] + _sum_of_rates(self.down[i]) for i in range(self.d))
 
     @property
     def kind(self):
@@ -277,22 +272,6 @@ def parse_chain(text):
         up.append(alpha)
         down.append(beta + [0.0] * (i - len(beta)))
     return ContinuousChain(d=d, up=up, down=down)
-
-
-def serialize_chain(chain):
-    """Render a chain back into its JSON document form (round-trip exact)."""
-    rows = []
-    for i in range(chain.d):
-        if isinstance(chain, DiscreteChain):
-            row = {"r": chain.hold[i], "p": chain.up[i]}
-            if any(x != 0.0 for x in chain.down[i]):
-                row["q"] = list(chain.down[i])
-        else:
-            row = {"alpha": chain.up[i]}
-            if any(x != 0.0 for x in chain.down[i]):
-                row["beta"] = list(chain.down[i])
-        rows.append(row)
-    return json.dumps({"type": chain.kind, "d": chain.d, "rows": rows}, indent=2)
 
 
 def jump_totals(chain, size):

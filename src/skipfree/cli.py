@@ -3,17 +3,18 @@
 One command per invocation: validate, spectrum, law, pmf, pdf, cdf,
 moments, sample or verify, each taking a chain-spec JSON file and emitting
 a CSV or JSON document on stdout (or ``--out``).  All numbers render with
-17 significant digits so emitted doubles reconstruct bit-faithfully.
+17 significant digits so emitted doubles reconstruct bit-faithfully.  Each
+option and its default is defined once, in :func:`build_parser`, and
+:func:`run` reads the namespace it returns.
 
 Exit codes: 0 success, 1 invalid input (an :class:`InputError`), 2
 numerical failure (a :class:`NumericalError`, or a failed ``verify``), 3 I/O
-failure.  Diagnostics go to stderr.
+failure.  Diagnostics, and a table's ``--histogram`` bars, go to stderr.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -30,35 +31,6 @@ HISTOGRAM_COLUMNS = 60
 # the commands that build the chain's law, and those of them that print its table
 _LAW_COMMANDS = ("spectrum", "law", "moments", "pmf", "pdf", "cdf")
 _TABLE_COMMANDS = ("pmf", "pdf", "cdf")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: the command plus every optional override."""
-
-    command: str
-    input_path: str
-    output_format: str = "csv"
-    out: str = None
-    eps: float = law_mod.DEFAULT_PMF_EPS
-    tol: float = DEFAULT_REAL_TOL
-    grid_max: float = None
-    grid_points: int = law_mod.DEFAULT_GRID_POINTS
-    method: str = "auto"
-    seed: int = 2023
-    paths: int = 10000
-    start_state: int = 0
-    histogram: bool = False
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
-
-
-# the optional fields' defaults, which the parser offers and config_from_args falls back on
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 def _f17(x):
@@ -79,7 +51,7 @@ def _histogram_lines(table):
     return lines
 
 
-def emit_table(table, output_format="csv", histogram=False):
+def emit_table(table, output_format="csv"):
     """Render a DistributionTable as a CSV or JSON document string."""
     support, masses, cumulative = (
         table.support.tolist(), table.mass_or_density.tolist(), table.cumulative.tolist()
@@ -91,15 +63,11 @@ def emit_table(table, output_format="csv", histogram=False):
             "cumulative": cumulative,
             "tail_bound": table.tail_bound,
         }
-        text = json.dumps(doc, indent=2)
-    else:
-        lines = ["n_or_t,mass_or_density,cumulative"]
-        for n, m, c in zip(support, masses, cumulative):
-            lines.append(f"{_cell(n)},{_f17(m)},{_f17(c)}")
-        text = "\n".join(lines)
-    if histogram:
-        text += "\n" + "\n".join(_histogram_lines(table))
-    return text
+        return json.dumps(doc, indent=2)
+    lines = ["n_or_t,mass_or_density,cumulative"]
+    for n, m, c in zip(support, masses, cumulative):
+        lines.append(f"{_cell(n)},{_f17(m)},{_f17(c)}")
+    return "\n".join(lines)
 
 
 def _kv_csv(pairs):
@@ -199,22 +167,25 @@ def _doc_verify(reports, fmt):
     return "\n".join(lines)
 
 
-def run(config):
-    """Execute one command; emits the document and returns the exit code."""
+def run(args):
+    """Execute the command of ``args``, the namespace :func:`build_parser` returns.
+
+    Emits the document and returns the exit code.
+    """
     try:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
+        with open(args.input_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {args.input_path}: {exc}", file=sys.stderr)
         return 3
 
     exit_code = 0
     try:
         chain = parse_chain(text)
-        fmt = config.output_format
-        cmd = config.command
+        fmt = args.output_format
+        cmd = args.command
         if cmd in _LAW_COMMANDS:
-            law = law_mod.build_law(chain, tol=config.tol)
+            law = law_mod.build_law(chain, tol=args.tol)
         if cmd == "validate":
             document = _doc_validate(chain, fmt)
         elif cmd == "spectrum":
@@ -225,23 +196,23 @@ def run(config):
             document = _doc_moments(law, fmt)
         elif cmd in _TABLE_COMMANDS:  # the chain's own table, whichever of the three
             if law.kind == "discrete":
-                table = law_mod.pmf_table(law, eps=config.eps)
+                table = law_mod.pmf_table(law, eps=args.eps)
             else:
-                grid = law_mod.default_grid(law, config.grid_points, config.grid_max)
-                table = law_mod.pdf_cdf_table(law, grid, method=config.method)
-            document = emit_table(table, fmt, histogram=config.histogram)
+                grid = law_mod.default_grid(law, args.grid_points, args.grid_max)
+                table = law_mod.pdf_cdf_table(law, grid, method=args.method)
+            document = emit_table(table, fmt)
+            if args.histogram:
+                print("\n".join(_histogram_lines(table)), file=sys.stderr)
         elif cmd == "sample":
-            cfg = SamplerConfig(seed=config.seed, paths=config.paths, start_state=config.start_state)
+            cfg = SamplerConfig(seed=args.seed, paths=args.paths, start_state=args.start_state)
             document = _doc_samples(sample_hitting_times(chain, cfg), fmt)
         elif cmd == "verify":
-            reports = verification_reports(chain, seed=config.seed)
+            reports = verification_reports(chain, seed=args.seed)
             document = _doc_verify(reports, fmt)
             if not all(r.passed for _, r in reports):
                 failed = [name for name, r in reports if not r.passed]
                 print(f"error: verification failed: {', '.join(failed)}", file=sys.stderr)
                 exit_code = 2
-        else:  # unreachable; RunConfig rejects unknown commands
-            raise ValueError(config.command)
     except InputError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 1
@@ -250,13 +221,13 @@ def run(config):
         return 2
 
     try:
-        if config.out is None:
+        if args.out is None:
             print(document)
         else:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(document + "\n")
     except OSError as exc:
-        target = "stdout" if config.out is None else config.out
+        target = "stdout" if args.out is None else args.out
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 3
     return exit_code
@@ -284,46 +255,45 @@ def build_parser():
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("input_path", help="chain-spec JSON file")
         p.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                       default=_DEFAULTS["output_format"],
-                       help="output document format (default %(default)s)")
-        p.add_argument("--out", default=_DEFAULTS["out"],
-                       help="write the document to a file instead of stdout")
+                       default="csv", help="output document format (default %(default)s)")
+        p.add_argument("--out", help="write the document to a file instead of stdout")
         if name in _LAW_COMMANDS:
-            p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
+            p.add_argument("--tol", type=float, default=DEFAULT_REAL_TOL,
                            help="realness tolerance for spectrum classification, applied "
                                 "to v/|v| for a continuous chain")
         if name in _TABLE_COMMANDS:
-            p.add_argument("--eps", type=float, default=_DEFAULTS["eps"],
+            p.add_argument("--eps", type=float, default=law_mod.DEFAULT_PMF_EPS,
                            help="PMF tables extend until cumulative >= 1-eps")
             p.add_argument("--histogram", action="store_true",
-                           help="append a 60-column text histogram")
-            p.add_argument("--grid-max", type=float, default=_DEFAULTS["grid_max"],
+                           help="also print a 60-column text histogram, to stderr")
+            p.add_argument("--grid-max", type=float,
                            help="largest grid time (default 5x the mean)")
-            p.add_argument("--grid-points", type=int, default=_DEFAULTS["grid_points"],
+            p.add_argument("--grid-points", type=int, default=law_mod.DEFAULT_GRID_POINTS,
                            help="number of grid points (default %(default)s)")
             p.add_argument("--method", choices=("auto", "partial_fractions", "uniformization"),
-                           default=_DEFAULTS["method"], help="density evaluation route")
+                           default="auto", help="density evaluation route")
         if name in ("sample", "verify"):
-            p.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
+            p.add_argument("--seed", type=int, default=2023,
                            help="random seed (default %(default)s)")
         if name == "sample":
-            p.add_argument("--paths", type=int, default=_DEFAULTS["paths"],
+            p.add_argument("--paths", type=int, default=10000,
                            help="number of trajectories (default %(default)s)")
             p.add_argument("--start", dest="start_state", metavar="START", type=int,
-                           default=_DEFAULTS["start_state"], help="initial state")
+                           default=0, help="initial state")
     return parser
 
 
 def config_from_args(args):
-    """The RunConfig of parsed arguments; options a command lacks keep their defaults."""
-    ns = vars(args)
-    options = {name: ns[name] for name in _DEFAULTS.keys() & ns.keys()}
-    return RunConfig(command=ns["command"], input_path=ns["input_path"], **options)
+    """``args`` itself: :func:`run` reads the parsed namespace directly.
+
+    Kept because the benchmark's traced ``cli`` workload calls
+    ``run(config_from_args(args))`` (``benchmarks/ops.py``).
+    """
+    return args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    sys.exit(run(config_from_args(args)))
+    sys.exit(run(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ContinuousChain, DiscreteChain, is_integer, transient_block
+from .chains import ContinuousChain, DiscreteChain, is_integer, jump_totals, transient_block
 from .charpoly import continuous_charpoly_seq, discrete_charpoly_seq
 from .errors import (
     DegenerateSpectrumError,
@@ -395,7 +395,7 @@ def transient_profile(chain, t):
     if not isinstance(chain, ContinuousChain):
         raise TypeError("transient_profile needs a continuous chain")
     grid = _grid(t)
-    rate = max(chain.gamma)
+    rate = max(jump_totals(chain, chain.d))
     onestep = np.eye(chain.d) + transient_block(chain, chain.d - 1) / rate
     gaps = np.diff(grid, prepend=0.0).tolist()
     budget = UNIFORMIZATION_TOL / max(1, np.count_nonzero(gaps))

@@ -1,12 +1,12 @@
 """Independent ground-truth engines for the closed forms.
 
 Everything here reaches the absorption law through a route disjoint from the
-charpoly/spectral pipeline: dense vector-matrix iteration, literal path
-enumeration, inversion of the stage transform and of the geometric phases'
-product on the unit circle, uniformization of the generator, and Monte
-Carlo simulation; the uniformization engine is the law's own fallback
-route, :func:`~skipfree.law.transient_profile`, and checks the partial
-fractions here.  :func:`report_from_errors` turns pointwise errors into
+charpoly/spectral pipeline: dense vector-matrix iteration, inversion of the
+stage transform and of the geometric phases' product on the unit circle,
+uniformization of the generator, and Monte Carlo simulation; the
+uniformization engine is the law's own fallback route,
+:func:`~skipfree.law.transient_profile`, and checks the partial fractions
+here.  :func:`report_from_errors` turns pointwise errors into
 pass/fail reports, and the KS statistics at the bottom compare samples.
 
 Randomness contract, stream version 3: samplers draw from numpy's SFC64 bit
@@ -84,23 +84,13 @@ def report_from_errors(errors, threshold):
     )
 
 
-def _pmf_table(masses):
-    """The table of masses on 1..n, whose tail bound is the mass they miss."""
-    cum = np.cumsum(masses)
-    return DistributionTable(
-        support=np.arange(1, cum.size + 1, dtype=np.int64),
-        mass_or_density=masses,
-        cumulative=cum,
-        tail_bound=max(0.0, 1.0 - float(cum[-1])),
-    )
-
-
 def pmf_by_matrix_power(chain, n_max):
     """Absorption-time PMF by transient vector-matrix iteration.
 
     P(tau = n) is the mass that flows from state d-1 into d on step n:
     v_0 = e_0, v_k = v_{k-1} P_{d-1}, and P(tau = n) = v_{n-1}[d-1] p_{d-1}.
-    O(d^2) work per step, never a dense matrix power.
+    O(d^2) work per step, never a dense matrix power.  The table covers
+    n = 1..n_max, and its tail bound is the mass it misses.
     """
     if not isinstance(chain, DiscreteChain):
         raise TypeError("pmf_by_matrix_power needs a discrete chain")
@@ -114,36 +104,13 @@ def pmf_by_matrix_power(chain, n_max):
     for n in range(n_max):
         masses[n] = v[-1] * exit_prob
         v = v @ block
-    return _pmf_table(masses)
-
-
-def pmf_by_path_enumeration(chain, n_max):
-    """Absorption-time PMF by exhaustive trajectory enumeration.
-
-    Walks every positive-probability path of length <= n_max from state 0,
-    multiplying step probabilities.  Exponential cost; strictly a desk-scale
-    oracle, independent of any matrix machinery.
-    """
-    if not isinstance(chain, DiscreteChain):
-        raise TypeError("pmf_by_path_enumeration needs a discrete chain")
-    masses = [0.0] * n_max
-
-    def steps_from(i):
-        out = [(i, chain.hold[i]), (i + 1, chain.up[i])]
-        out.extend((j, q) for j, q in enumerate(chain.down[i]))
-        return [(j, p) for j, p in out if p > 0.0]
-
-    def walk(state, step, prob):
-        if state == chain.d:
-            masses[step - 1] += prob
-            return
-        if step == n_max:
-            return
-        for nxt, p in steps_from(state):
-            walk(nxt, step + 1, prob * p)
-
-    walk(0, 0, 1.0)
-    return _pmf_table(masses)
+    cum = np.cumsum(masses)
+    return DistributionTable(
+        support=np.arange(1, n_max + 1, dtype=np.int64),
+        mass_or_density=masses,
+        cumulative=cum,
+        tail_bound=max(0.0, 1.0 - float(cum[-1])),
+    )
 
 
 def _invert_on_circle(transform, n_max):
@@ -229,27 +196,27 @@ def _guide_table(keys, levels):
     return np.where(below == upto, below - rows, -1)
 
 
-def sample_hitting_times(chain, cfg, stop_level=None):
-    """Monte Carlo samples of the first-passage time to a level.
+def sample_hitting_times(chain, cfg):
+    """Monte Carlo samples of the absorption time.
 
     Simulates ``cfg.paths`` independent trajectories from ``cfg.start_state``
-    until they first reach ``stop_level`` (default: the absorbing state d).
-    Discrete chains return step counts (int64), drawing each hold run in
-    state i as one Geometric(1 - r_i) count of steps; continuous chains
-    return elapsed times (float64), accumulating Exponential(gamma_i) holds
-    between jumps.  Deterministic given ``cfg.seed``; see the module
-    docstring for the stream contract.  Raises RunawayPathError once a path
-    needs more than PATH_STEP_CAP steps.
+    until they first reach the absorbing state d.  Discrete chains return
+    step counts (int64), drawing each hold run in state i as one
+    Geometric(1 - r_i) count of steps; continuous chains return elapsed
+    times (float64), accumulating Exponential(gamma_i) holds between jumps.
+    Deterministic given ``cfg.seed``; see the module docstring for the
+    stream contract.  Raises RunawayPathError once a path needs more than
+    PATH_STEP_CAP steps.
+
+    To sample the passage to a level n < d, sample the chain of the first n
+    rows: it is a valid chain of the same kind, whose absorbing state is n,
+    and it draws the same samples as a run on the whole chain stopped at n.
     """
-    target = chain.d if stop_level is None else stop_level
-    if not (is_integer(target) and 1 <= target <= chain.d):
-        raise RangeError(f"stop_level must be in 1..{chain.d}, got {target}")
-    if not (is_integer(cfg.start_state) and 0 <= cfg.start_state < target):
-        raise RangeError(
-            f"start_state must be in 0..{target - 1}, got {cfg.start_state}"
-        )
+    d = chain.d
+    if not (is_integer(cfg.start_state) and 0 <= cfg.start_state < d):
+        raise RangeError(f"start_state must be in 0..{d - 1}, got {cfg.start_state}")
     rng = np.random.Generator(np.random.SFC64(cfg.seed))
-    totals, keys = _jump_keys(chain, target)
+    totals, keys = _jump_keys(chain, d)
     discrete = isinstance(chain, DiscreteChain)
     if discrete:
         # hold run 1 + floor(E s_i), s_i = 1 / -log r_i, is Geometric(1 - r_i) for
@@ -261,9 +228,9 @@ def sample_hitting_times(chain, cfg, stop_level=None):
     # a path in state i is kept as its guide-table row offset i * GUIDE_BUCKETS:
     # the table's targets are scaled to the offsets of their rows (a search
     # bucket stays negative), and s_i is repeated over row i
-    table = _guide_table(keys, target) * GUIDE_BUCKETS
+    table = _guide_table(keys, d) * GUIDE_BUCKETS
     scale = np.repeat(scale, GUIDE_BUCKETS)
-    width, absorbed = target + 1, target * GUIDE_BUCKETS
+    width, absorbed = d + 1, d * GUIDE_BUCKETS
 
     # live paths only, compacted after every wave: original index, row, clock.
     # A discrete clock sums the holds and gets the one jump per wave when its

@@ -9,9 +9,11 @@ to a ComparisonReport.  The CLI's ``verify`` command and the corpus scripts
 are thin wrappers over :func:`verification_reports`.
 """
 
+import math
+
 import numpy as np
 
-from .chains import DiscreteChain, is_integer, transient_block
+from .chains import DiscreteChain, is_integer, jump_totals, transient_block
 from .errors import DegenerateSpectrumError, RangeError
 from .law import (
     _transform,
@@ -84,8 +86,12 @@ def _determinant_errors(law, rng):
     """
     chain = law.source
     discrete = chain.kind == "discrete"
-    lo, hi = (-1.0, 1.0) if discrete else (0.0, 5.0)
-    s = rng.uniform(lo, hi, size=DET_POINTS)
+    if discrete:
+        s = rng.uniform(-1.0, 1.0, size=DET_POINTS)
+    else:
+        # on the chain's time scale: with every rate times 2^k, every point is times 2^k exactly
+        unit = math.ldexp(1.0, math.frexp(max(jump_totals(chain, chain.d)))[1] - 2)
+        s = unit * rng.uniform(0.0, 5.0, size=DET_POINTS)
     _, denominators = _transform(law, s)
     log_ratio = np.cumsum(np.log(np.abs(denominators)), axis=0)
     sign_ratio = np.cumprod(np.sign(denominators), axis=0)

@@ -45,7 +45,7 @@ from skipfree.corpus import (
     random_discrete_chain,
 )
 from skipfree.oracle import report_from_errors
-from tests.conftest import CHAIN_DIR, GOLDEN_DIR, csv_rows
+from tests.conftest import CHAIN_DIR, GOLDEN_DIR, csv_rows, prefix
 
 
 def _corpus(generator, n, d_range, seed, accept=lambda chain: True):
@@ -186,7 +186,7 @@ def test_criterion_6_monte_carlo(discrete_corpus, continuous_corpus):
         staged = np.zeros(paths)
         for i in range(chain.d):
             cfg = SamplerConfig(seed=base_seed + 1 + i, paths=paths, start_state=i)
-            staged = staged + sample_hitting_times(chain, cfg, stop_level=i + 1)
+            staged = staged + sample_hitting_times(prefix(chain, i + 1), cfg)
         assert ks_two_sample(direct, staged) < ks_critical_value(paths, paths)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0

@@ -22,20 +22,20 @@ from skipfree import (
     parse_chain,
     pdf_cdf_table,
     phase_representation,
-    serialize_chain,
+    pmf_table,
 )
 from skipfree.corpus import (
     random_birth_death_continuous,
     random_continuous_chain,
     random_discrete_chain,
 )
-from skipfree.cli import COMMANDS, RunConfig, emit_table, run
-from tests.conftest import CHAIN_DIR, GOLDEN_DIR, csv_rows, in_time_unit
+from skipfree.cli import COMMANDS, _histogram_lines, build_parser, config_from_args, emit_table, run
+from tests.conftest import CHAIN_DIR, GOLDEN_DIR, csv_rows, in_time_unit, serialize_chain
 
 
-def run_cli(capsys, command, path, **overrides):
-    config = RunConfig(command=command, input_path=str(path), **overrides)
-    code = run(config)
+def run_cli(capsys, command, path, *options):
+    """Parse ``command path options`` as the shell would and run it: (exit code, stdout, stderr)."""
+    code = run(build_parser().parse_args([command, str(path), *map(str, options)]))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -71,7 +71,7 @@ def test_spectrum_csv(capsys):
 
 
 def test_spectrum_json(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", CHAIN_DIR / "d2_coupled_rates.json", output_format="json")
+    code, out, _ = run_cli(capsys, "spectrum", CHAIN_DIR / "d2_coupled_rates.json", "--format", "json")
     doc = json.loads(out)
     assert doc["classification"] == "RealNonnegative"
     assert sorted(v["real"] for v in doc["values"]) == pytest.approx(
@@ -80,7 +80,7 @@ def test_spectrum_json(capsys):
 
 
 def test_law_and_moments_documents(capsys):
-    code, out, _ = run_cli(capsys, "law", CHAIN_DIR / "d1_geometric.json", output_format="json")
+    code, out, _ = run_cli(capsys, "law", CHAIN_DIR / "d1_geometric.json", "--format", "json")
     doc = json.loads(out)
     assert doc["leading"] == 0.5 and doc["denom"] == [1.0, -0.5]
     assert doc["phase_parameters"] == [0.5]
@@ -110,7 +110,7 @@ def test_pmf_golden_d2(capsys):
 
 def test_pdf_cdf_commands(capsys):
     code, out, _ = run_cli(capsys, "pdf", CHAIN_DIR / "d2_pure_birth_rates.json",
-                           grid_max=2.0, grid_points=5)
+                           "--grid-max", 2.0, "--grid-points", 5)
     assert code == 0
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 5
@@ -118,15 +118,15 @@ def test_pdf_cdf_commands(capsys):
     assert t == 1.0
     assert f == pytest.approx(2 * math.exp(-1) - 2 * math.exp(-2), rel=1e-12)
     code, out, _ = run_cli(capsys, "cdf", CHAIN_DIR / "d3_erlang.json",
-                           grid_max=1.0, grid_points=3, output_format="json")
+                           "--grid-max", 1.0, "--grid-points", 3, "--format", "json")
     doc = json.loads(out)
     # oracle: Erlang(3,1) CDF at 1 is 1 - e^{-1}(1 + 1 + 1/2)
     assert doc["cumulative"][-1] == pytest.approx(1 - math.exp(-1) * 2.5, abs=1e-9)
 
 
 def test_sample_deterministic_and_seeded(capsys):
-    first = run_cli(capsys, "sample", CHAIN_DIR / "d1_geometric.json", seed=5, paths=50)
-    second = run_cli(capsys, "sample", CHAIN_DIR / "d1_geometric.json", seed=5, paths=50)
+    first = run_cli(capsys, "sample", CHAIN_DIR / "d1_geometric.json", "--seed", 5, "--paths", 50)
+    second = run_cli(capsys, "sample", CHAIN_DIR / "d1_geometric.json", "--seed", 5, "--paths", 50)
     assert first == second
     lines = first[1].strip().splitlines()
     assert lines[0] == "sample" and len(lines) == 51
@@ -143,7 +143,7 @@ def test_verify_examples_exit_0(capsys):
         for _, err, _, _, threshold, passed, margin in rows[1:]:
             assert passed == "true"
             assert float(margin) == float(err) / float(threshold)
-    code, out, _ = run_cli(capsys, "verify", CHAIN_DIR / "d2_mixed.json", output_format="json")
+    code, out, _ = run_cli(capsys, "verify", CHAIN_DIR / "d2_mixed.json", "--format", "json")
     for report in json.loads(out):
         assert list(report)[-1] == "margin"
         assert report["margin"] == report["max_abs_err"] / report["threshold"] < 1.0
@@ -187,19 +187,10 @@ def test_law_past_the_double_range_exits_2(tmp_path, generator, message):
     assert proc.stderr == f"error: numerical failure: {message}\n"
 
 
-def test_parser_defaults_are_run_config_defaults():
-    from skipfree.cli import COMMANDS, build_parser, config_from_args
-
-    parser = build_parser()
-    for command in COMMANDS:
-        config = config_from_args(parser.parse_args([command, "chain.json"]))
-        assert config == RunConfig(command=command, input_path="chain.json")
-
-
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "law.json"
     code, out, _ = run_cli(capsys, "law", CHAIN_DIR / "d1_geometric.json",
-                           output_format="json", out=str(target))
+                           "--format", "json", "--out", target)
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["d"] == 1
 
@@ -210,7 +201,8 @@ def test_closed_stdout_exits_3_naming_stdout(monkeypatch, capsys):
             raise BrokenPipeError(32, "Broken pipe")
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    code = run(RunConfig(command="sample", input_path=str(CHAIN_DIR / "d3_pure_birth.json"), paths=10))
+    code = run(build_parser().parse_args(["sample", str(CHAIN_DIR / "d3_pure_birth.json"),
+                                          "--paths", "10"]))
     assert code == 3
     assert "cannot write stdout" in capsys.readouterr().err
 
@@ -222,7 +214,7 @@ def test_erlang_spectrum_is_real_with_unit_phases(capsys):
     assert all(line.endswith(",RealNonnegative") for line in out.strip().splitlines()[1:])
     law = build_law(parse_chain(path.read_text()))
     assert phase_representation(law) == (1.0, 1.0, 1.0)
-    code, out, _ = run_cli(capsys, "law", path, output_format="json")
+    code, out, _ = run_cli(capsys, "law", path, "--format", "json")
     assert code == 0 and json.loads(out)["phase_parameters"] == [1, 1, 1]
     # a triple rate has no partial-fraction form, so the auto route stays uniformization
     with pytest.raises(DegenerateSpectrumError):
@@ -236,12 +228,19 @@ def test_emit_table_empty_support():
 
 def test_emit_table_histogram():
     table = DistributionTable((1, 2), (0.5, 0.25), (0.5, 0.75), 0.25)
-    text = emit_table(table, "csv", histogram=True)
-    lines = text.splitlines()
-    assert lines[1] == "1,0.5,0.5"
-    bars = [line for line in lines if "|" in line]
-    assert bars[0].count("#") == 60  # largest mass spans the full scale
-    assert bars[1].count("#") == 30
+    bars = _histogram_lines(table)
+    assert bars == [f"{1:>12} |{'#' * 60}", f"{2:>12} |{'#' * 30}"]  # the largest mass spans 60
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_histogram_goes_to_stderr_and_leaves_the_document_alone(capsys, fmt):
+    path = CHAIN_DIR / "d1_geometric.json"
+    code, plain, err = run_cli(capsys, "pmf", path, "--format", fmt)
+    assert code == 0 and err == ""
+    code, out, bars = run_cli(capsys, "pmf", path, "--format", fmt, "--histogram")
+    assert code == 0 and out == plain
+    table = pmf_table(build_law(parse_chain(path.read_text())))
+    assert bars.splitlines() == _histogram_lines(table)
 
 
 def test_csv_round_trip_is_exact():
@@ -371,7 +370,7 @@ def test_every_command_on_a_valid_chain_succeeds_or_exits_2(tmp_path, capsys, na
         if command == "sample":  # its runaway cap is out of reach on the slow chains
             continue
         for fmt in ("csv", "json"):
-            code, out, err = run_cli(capsys, command, path, output_format=fmt)
+            code, out, err = run_cli(capsys, command, path, "--format", fmt)
             assert code in (0, 2), (command, fmt, err)
             assert code == 2 or not re.search(r"\bnan\b", out, re.IGNORECASE), (command, fmt)
             documents[command, fmt] = code, out, err
@@ -389,11 +388,20 @@ def test_every_error_has_exactly_one_exit_code_base():
         assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__
 
 
-def test_run_config_rejects_unknown_command():
-    with pytest.raises(ValueError):
-        RunConfig(command="plot", input_path="x")
-    with pytest.raises(ValueError):
-        RunConfig(command="pmf", input_path="x", output_format="xml")
+def test_parser_rejects_unknown_command_and_format(capsys):
+    for argv in (["plot", "x"], ["pmf", "x", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_run_reads_the_parsed_namespace(capsys):
+    # the call the benchmark's traced cli workload makes
+    args = build_parser().parse_args(["moments", str(CHAIN_DIR / "d1_geometric.json"),
+                                      "--format", "json"])
+    assert run(config_from_args(args)) == 0
+    assert json.loads(capsys.readouterr().out) == {"mean": 2.0, "variance": 2.0}
 
 
 def test_cli_main_entrypoint(capsys):
@@ -411,7 +419,6 @@ def test_cli_flag_plumbing(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pmf", str(CHAIN_DIR / "d1_geometric.json"), "--eps", "1e-3", "--histogram"])
     assert exc.value.code == 0
-    out = capsys.readouterr().out
-    rows = [line for line in out.splitlines() if "," in line][1:]
-    assert len(rows) == 10  # cumulative reaches 1 - 1e-3 at n = 10
-    assert any("#" in line for line in out.splitlines())
+    captured = capsys.readouterr()
+    assert len(csv_rows(captured.out)) == 10  # cumulative reaches 1 - 1e-3 at n = 10
+    assert "#" in captured.err

@@ -20,12 +20,11 @@ from skipfree import (
     moments,
     parse_chain,
     pmf_by_matrix_power,
-    pmf_by_path_enumeration,
     sample_hitting_times,
     transient_profile,
 )
 from skipfree import law as law_module
-from skipfree.chains import transient_block
+from skipfree.chains import jump_totals, transient_block
 from skipfree.corpus import (
     random_birth_death_continuous,
     random_birth_death_discrete,
@@ -43,7 +42,7 @@ from skipfree.verify import (
     _product_identity,
     verification_reports,
 )
-from tests.conftest import CHAIN_DIR, in_time_unit
+from tests.conftest import CHAIN_DIR, in_time_unit, pmf_by_path_enumeration, prefix
 
 
 def test_matrix_power_geometric(d1_geometric):
@@ -114,7 +113,7 @@ def test_uniformization_past_weight_underflow(monkeypatch):
     # most of the mass is still transient and exp(-Lambda * t) underflows
     chain = ContinuousChain(d=3, up=[1.0, 1.0, 0.5], down=[[], [400.0], [0.0, 0.0]])
     grid = np.array([0.0, 1.0, 6.0])
-    assert max(chain.gamma) * grid[-1] >= 2000.0
+    assert max(jump_totals(chain, chain.d)) * grid[-1] >= 2000.0
     monkeypatch.setattr(law_module, "UNIFORMIZATION_TOL", 1e-12)
     profiles = transient_profile(chain, grid)
     block = transient_block(chain, chain.d - 1)
@@ -128,7 +127,7 @@ def test_uniformization_at_long_times():
 
     # fast internal rates and a slow exit: at Lambda t = 1e6 most mass is still transient
     chain = ContinuousChain(d=3, up=[1e3, 1e3, 1e-3], down=[[], [1e3], [0.0, 1e3]])
-    rate = max(chain.gamma)
+    rate = max(jump_totals(chain, chain.d))
     grid = np.array([1e4, 1e6]) / rate
     profiles = transient_profile(chain, grid)
     block = transient_block(chain, chain.d - 1)
@@ -290,7 +289,7 @@ def test_continuous_stream_matches_wave_reference():
     chain = random_continuous_chain(np.random.default_rng(5), 4)
     cfg = SamplerConfig(seed=8, paths=2000)
     d = chain.d
-    gamma = np.asarray(chain.gamma)
+    gamma = np.array([chain.up[i] + math.fsum(chain.down[i]) for i in range(d)])
     rows = np.zeros((d, d + 1))
     for i in range(d):
         rows[i, :i] = chain.down[i]
@@ -387,8 +386,10 @@ def test_guide_table_samples_equal_searchsorted_waves(case):
     make, start, stop = GUIDE_CASES[case]
     chain = make()
     cfg = SamplerConfig(seed=31, paths=3000, start_state=start)
-    got = sample_hitting_times(chain, cfg, stop_level=stop)
-    expected = _searchsorted_waves(chain, cfg, chain.d if stop is None else stop)
+    level = chain.d if stop is None else stop
+    # the passage to a level is the absorption of the prefix chain, against waves on the whole chain
+    got = sample_hitting_times(prefix(chain, level), cfg)
+    expected = _searchsorted_waves(chain, cfg, level)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
 
@@ -457,19 +458,14 @@ def test_sampler_start_state(d2_mixed):
 def test_sampler_rejects_bad_levels(d2_mixed):
     with pytest.raises(RangeError):
         sample_hitting_times(d2_mixed, SamplerConfig(seed=0, paths=1, start_state=2))
-    with pytest.raises(RangeError):
-        sample_hitting_times(d2_mixed, SamplerConfig(seed=0, paths=1), stop_level=3)
     with pytest.raises(ValueError):
         SamplerConfig(seed=0, paths=0)
     for start in (0.5, 1.0, True):
         with pytest.raises(RangeError, match="start_state must be in 0..1"):
             sample_hitting_times(d2_mixed, SamplerConfig(seed=1, paths=3, start_state=start))
-    for level in (1.5, 1.0, True):
-        with pytest.raises(RangeError, match="stop_level must be in 1..2"):
-            sample_hitting_times(d2_mixed, SamplerConfig(seed=1, paths=3), stop_level=level)
     cfg = SamplerConfig(seed=1, paths=3, start_state=1)
     numpy_ints = SamplerConfig(seed=np.uint64(1), paths=np.int32(3), start_state=np.int64(1))
-    assert np.array_equal(sample_hitting_times(d2_mixed, numpy_ints, stop_level=np.int64(2)),
+    assert np.array_equal(sample_hitting_times(d2_mixed, numpy_ints),
                           sample_hitting_times(d2_mixed, cfg))
 
 
@@ -508,5 +504,5 @@ def test_stage_sampling_telescopes(seed, d):
     staged = np.zeros(paths)
     for i in range(d):
         cfg = SamplerConfig(seed=seed + 1 + i, paths=paths, start_state=i)
-        staged += sample_hitting_times(chain, cfg, stop_level=i + 1)
+        staged += sample_hitting_times(prefix(chain, i + 1), cfg)
     assert ks_two_sample(direct, staged) < ks_critical_value(paths, paths)
