@@ -38,7 +38,26 @@ def _f17(x):
 
 
 def _cell(x):
-    return str(x) if isinstance(x, (int, np.integer)) else _f17(x)
+    """One CSV cell: text as it is, a bool in lower case, a number in round-trip digits."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    if isinstance(x, complex):
+        return f"{_f17(x.real)}{x.imag:+.17g}j"
+    return _f17(x)
+
+
+def _document(fmt, value, header, rows, indent=2):
+    """``value`` as JSON, or ``header`` and the comma-joined ``rows`` as CSV.
+
+    ``rows`` is read only for CSV, so a JSON document formats no CSV cell.
+    """
+    if fmt == "json":
+        return json.dumps(value, indent=indent)
+    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)])
 
 
 def _histogram_lines(table):
@@ -56,115 +75,48 @@ def emit_table(table, output_format="csv"):
     support, masses, cumulative = (
         table.support.tolist(), table.mass_or_density.tolist(), table.cumulative.tolist()
     )
-    if output_format == "json":
-        doc = {
-            "support": support,
-            "mass_or_density": masses,
-            "cumulative": cumulative,
-            "tail_bound": table.tail_bound,
-        }
-        return json.dumps(doc, indent=2)
-    lines = ["n_or_t,mass_or_density,cumulative"]
-    for n, m, c in zip(support, masses, cumulative):
-        lines.append(f"{_cell(n)},{_f17(m)},{_f17(c)}")
-    return "\n".join(lines)
+    value = {"support": support, "mass_or_density": masses, "cumulative": cumulative,
+             "tail_bound": table.tail_bound}
+    return _document(output_format, value, "n_or_t,mass_or_density,cumulative",
+                     zip(support, masses, cumulative))
 
 
-def _kv_csv(pairs):
-    return "\n".join(["field,value"] + [f"{k},{v}" for k, v in pairs])
-
-
-def _doc_validate(chain, fmt):
-    if fmt == "json":
-        return json.dumps({"valid": True, "type": chain.kind, "d": chain.d})
-    return _kv_csv([("valid", "true"), ("type", chain.kind), ("d", chain.d)])
+def _values(spectrum):
+    """A spectrum's values as JSON records."""
+    return [{"real": v.real, "imag": v.imag} for v in spectrum.values]
 
 
 def _doc_spectrum(spectrum, fmt):
     cls = spectrum.classification.value
-    if fmt == "json":
-        return json.dumps(
-            {
-                "values": [{"real": v.real, "imag": v.imag} for v in spectrum.values],
-                "classification": cls,
-                "tolerance_used": spectrum.tolerance_used,
-            },
-            indent=2,
-        )
-    lines = ["index,real,imag,classification"]
-    for i, v in enumerate(spectrum.values):
-        lines.append(f"{i},{_f17(v.real)},{_f17(v.imag)},{cls}")
-    return "\n".join(lines)
+    value = {"values": _values(spectrum), "classification": cls,
+             "tolerance_used": spectrum.tolerance_used}
+    rows = ((i, v.real, v.imag, cls) for i, v in enumerate(spectrum.values))
+    return _document(fmt, value, "index,real,imag,classification", rows)
 
 
 def _doc_law(law, fmt):
+    # each property is read once, in the document's order: law.denom costs O(d^3) a read
     phases = law_mod.phase_representation(law)
-    phase_field = None if phases is None else list(phases)
-    if fmt == "json":
-        return json.dumps(
-            {
-                "kind": law.kind,
-                "d": law.d,
-                "leading": law.leading,
-                "denom": list(law.denom.coeffs),
-                "spectrum": {
-                    "values": [{"real": v.real, "imag": v.imag} for v in law.spectrum.values],
-                    "classification": law.spectrum.classification.value,
-                },
-                "phase_parameters": phase_field,
-            },
-            indent=2,
-        )
-    pairs = [("kind", law.kind), ("d", law.d), ("leading", _f17(law.leading))]
-    pairs += [(f"denom_{k}", _f17(c)) for k, c in enumerate(law.denom.coeffs)]
-    pairs += [
-        (f"lambda_{i}", f"{_f17(v.real)}{v.imag:+.17g}j")
-        for i, v in enumerate(law.spectrum.values)
-    ]
-    pairs.append(("classification", law.spectrum.classification.value))
-    if phase_field is not None:
-        pairs += [(f"phase_{i}", _f17(x)) for i, x in enumerate(phase_field)]
-    return _kv_csv(pairs)
+    phases = None if phases is None else list(phases)
+    head = {"kind": law.kind, "d": law.d, "leading": law.leading}
+    coeffs, spectrum = list(law.denom.coeffs), law.spectrum
+    cls = spectrum.classification.value
+    value = {**head, "denom": coeffs,
+             "spectrum": {"values": _values(spectrum), "classification": cls},
+             "phase_parameters": phases}
+    rows = [*head.items(), *((f"denom_{k}", c) for k, c in enumerate(coeffs))]
+    rows += [(f"lambda_{i}", v) for i, v in enumerate(spectrum.values)]
+    rows += [("classification", cls)] + [(f"phase_{i}", x) for i, x in enumerate(phases or ())]
+    return _document(fmt, value, "field,value", rows)
 
 
-def _doc_moments(law, fmt):
-    mean, variance = law_mod.moments(law)
-    if fmt == "json":
-        return json.dumps({"mean": mean, "variance": variance})
-    return f"mean,variance\n{_f17(mean)},{_f17(variance)}"
-
-
-def _doc_samples(samples, fmt):
-    values = samples.tolist()
-    if fmt == "json":
-        return json.dumps(values)
-    return "\n".join(["sample"] + [_cell(x) for x in values])
+_VERIFY_FIELDS = ("max_abs_err", "mean_err", "n_points", "threshold", "passed", "margin")
 
 
 def _doc_verify(reports, fmt):
-    if fmt == "json":
-        return json.dumps(
-            [
-                {
-                    "check": name,
-                    "max_abs_err": r.max_abs_err,
-                    "mean_err": r.mean_err,
-                    "n_points": r.n_points,
-                    "threshold": r.threshold,
-                    "passed": r.passed,
-                    "margin": r.margin,
-                }
-                for name, r in reports
-            ],
-            indent=2,
-        )
-    lines = ["check,max_abs_err,mean_err,n_points,threshold,passed,margin"]
-    for name, r in reports:
-        lines.append(
-            f"{name},{_f17(r.max_abs_err)},{_f17(r.mean_err)},{r.n_points},"
-            f"{_f17(r.threshold)},{str(r.passed).lower()},{_f17(r.margin)}"
-        )
-    return "\n".join(lines)
+    value = [{"check": name, **{f: getattr(r, f) for f in _VERIFY_FIELDS}} for name, r in reports]
+    return _document(fmt, value, ",".join(("check",) + _VERIFY_FIELDS),
+                     (record.values() for record in value))
 
 
 def run(args):
@@ -187,13 +139,16 @@ def run(args):
         if cmd in _LAW_COMMANDS:
             law = law_mod.build_law(chain, tol=args.tol)
         if cmd == "validate":
-            document = _doc_validate(chain, fmt)
+            value = {"valid": True, "type": chain.kind, "d": chain.d}
+            document = _document(fmt, value, "field,value", value.items(), indent=None)
         elif cmd == "spectrum":
             document = _doc_spectrum(law.spectrum, fmt)
         elif cmd == "law":
             document = _doc_law(law, fmt)
         elif cmd == "moments":
-            document = _doc_moments(law, fmt)
+            mean, variance = law_mod.moments(law)
+            document = _document(fmt, {"mean": mean, "variance": variance}, "mean,variance",
+                                 [(mean, variance)], indent=None)
         elif cmd in _TABLE_COMMANDS:  # the chain's own table, whichever of the three
             if law.kind == "discrete":
                 table = law_mod.pmf_table(law, eps=args.eps)
@@ -205,12 +160,13 @@ def run(args):
                 print("\n".join(_histogram_lines(table)), file=sys.stderr)
         elif cmd == "sample":
             cfg = SamplerConfig(seed=args.seed, paths=args.paths, start_state=args.start_state)
-            document = _doc_samples(sample_hitting_times(chain, cfg), fmt)
+            samples = sample_hitting_times(chain, cfg).tolist()
+            document = _document(fmt, samples, "sample", ((x,) for x in samples), indent=None)
         elif cmd == "verify":
             reports = verification_reports(chain, seed=args.seed)
             document = _doc_verify(reports, fmt)
-            if not all(r.passed for _, r in reports):
-                failed = [name for name, r in reports if not r.passed]
+            failed = [name for name, r in reports if not r.passed]
+            if failed:
                 print(f"error: verification failed: {', '.join(failed)}", file=sys.stderr)
                 exit_code = 2
     except InputError as exc:

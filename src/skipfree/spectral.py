@@ -49,7 +49,7 @@ class Spectrum:
 
 
 def classify(values, tol):
-    """Classify a multiset of complex values for the closed-form dispatch.
+    """Classify a sequence of real or complex values for the closed-form dispatch.
 
     RealNonnegative iff every value has |Im| <= tol*(1+|value|) and
     Re >= -tol; RealMixedSign iff all values pass the same realness test but
@@ -58,18 +58,19 @@ def classify(values, tol):
     """
     if not 0.0 < tol < np.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
-    vals = [complex(v) for v in values]
-    if any(abs(v.imag) > tol * (1.0 + abs(v)) for v in vals):
+    # a float has .real and .imag too, so the solver's values are read as they come
+    if any(abs(v.imag) > tol * (1.0 + abs(v)) for v in values):
         return SpectrumClass.COMPLEX
-    if any(v.real < -tol for v in vals):
+    if any(v.real < -tol for v in values):
         return SpectrumClass.REAL_MIXED_SIGN
     return SpectrumClass.REAL_NONNEGATIVE
 
 
 def _build_spectrum(values, cls, tol):
-    if cls is not SpectrumClass.COMPLEX:
-        values = [complex(v.real, 0.0) for v in values]
-    ordered = tuple(sorted((complex(v) for v in values), key=lambda v: (-v.real, v.imag)))
+    if cls is SpectrumClass.COMPLEX:  # a complex spectrum comes from the solver as complex
+        ordered = tuple(sorted(values, key=lambda v: (-v.real, v.imag)))
+    else:  # snapped onto the real axis; a reverse sort is stable, so ties keep their order
+        ordered = tuple(map(complex, sorted((v.real for v in values), reverse=True)))
     return Spectrum(values=ordered, classification=cls, tolerance_used=tol)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import skipfree
-from skipfree import errors
+from skipfree import cli, errors
 from skipfree import (
     ContinuousChain,
     DegenerateSpectrumError,
@@ -377,6 +377,73 @@ def test_every_command_on_a_valid_chain_succeeds_or_exits_2(tmp_path, capsys, na
     if parse_chain(path.read_text()).kind == "continuous":
         for fmt in ("csv", "json"):
             assert documents["pmf", fmt] == documents["pdf", fmt]
+
+
+def _json_as_csv(command, doc):
+    """The CSV header and rows that carry the fields of the JSON document ``doc`` of ``command``.
+
+    Only ``tolerance_used`` of the spectrum has no CSV column.
+    """
+    if command == "validate":
+        return ["field", "value"], list(doc.items())
+    if command == "spectrum":
+        return ["index", "real", "imag", "classification"], [
+            (i, v["real"], v["imag"], doc["classification"]) for i, v in enumerate(doc["values"])]
+    if command == "law":
+        spectrum = doc["spectrum"]
+        rows = [("kind", doc["kind"]), ("d", doc["d"]), ("leading", doc["leading"])]
+        rows += [(f"denom_{k}", c) for k, c in enumerate(doc["denom"])]
+        rows += [(f"lambda_{i}", complex(v["real"], v["imag"]))
+                 for i, v in enumerate(spectrum["values"])]
+        rows += [("classification", spectrum["classification"])]
+        rows += [(f"phase_{i}", x) for i, x in enumerate(doc["phase_parameters"] or ())]
+        return ["field", "value"], rows
+    if command == "moments":
+        return ["mean", "variance"], [(doc["mean"], doc["variance"])]
+    if command in ("pmf", "pdf", "cdf"):
+        return ["n_or_t", "mass_or_density", "cumulative"], list(
+            zip(doc["support"], doc["mass_or_density"], doc["cumulative"]))
+    if command == "sample":
+        return ["sample"], [(x,) for x in doc]
+    return list(doc[0]), [tuple(record.values()) for record in doc]  # verify
+
+
+def _same_cell(cell, value):
+    """Whether a CSV cell reads as the JSON value: exactly, since both print round-trip digits."""
+    if isinstance(value, bool):
+        return cell == str(value).lower()
+    if isinstance(value, str):
+        return cell == value
+    if isinstance(value, complex):
+        return complex(cell) == value
+    return float(cell) == value
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_csv_and_json_carry_the_same_document(capsys, command):
+    for path in sorted(CHAIN_DIR.glob("*.json")):
+        code, text, _ = run_cli(capsys, command, path, "--format", "csv")
+        json_code, json_text, _ = run_cli(capsys, command, path, "--format", "json")
+        assert code == json_code, path.name
+        header, rows = _json_as_csv(command, json.loads(json_text))
+        lines = text.splitlines()
+        assert lines[0].split(",") == header, path.name
+        assert len(lines) - 1 == len(rows), path.name
+        for line, row in zip(lines[1:], rows):
+            cells = line.split(",")
+            assert len(cells) == len(row) and all(map(_same_cell, cells, row)), (path.name, line)
+
+
+def test_json_documents_format_no_csv_cell(monkeypatch, capsys):
+    def refuse(x):
+        raise AssertionError(f"a JSON run formatted the CSV cell {x!r}")
+
+    monkeypatch.setattr(cli, "_f17", refuse)
+    monkeypatch.setattr(cli, "_cell", refuse)
+    for name in ("d2_mixed", "d3_erlang"):  # a discrete and a continuous chain
+        for command in COMMANDS:
+            code, out, _ = run_cli(capsys, command, CHAIN_DIR / f"{name}.json", "--format", "json")
+            assert code == 0 and json.loads(out), (name, command)
 
 
 def test_every_error_has_exactly_one_exit_code_base():

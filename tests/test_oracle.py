@@ -210,10 +210,18 @@ def test_prefix_slogdets_past_the_double_range():
     assert log.max() > 709.0
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CHAIN_DIR.glob("*.json")))
-def test_determinant_check_fails_on_one_perturbed_stage(name, monkeypatch):
-    chain = parse_chain((CHAIN_DIR / name).read_text())
-    assert all(report.passed for _, report in verification_reports(chain))
+_SHIPPED = {p.name: parse_chain(p.read_text()) for p in sorted(CHAIN_DIR.glob("*.json"))}
+_SLOW = [in_time_unit(c, 2.0**-40) for c in _SHIPPED.values() if c.kind == "continuous"]
+
+
+@pytest.mark.parametrize("chains", [pytest.param([c], id=name) for name, c in _SHIPPED.items()] + [
+    pytest.param(_SLOW, id="continuous-unit-2^-40", marks=pytest.mark.xfail(
+        strict=True, reason="FOUND in CHANGES.md: every determinant is far below 1 here, so the "
+        "check's error (ratio - direct) / (1 + |direct|) is absolute and misses the perturbation"))
+])
+def test_determinant_check_fails_on_one_perturbed_stage(chains, monkeypatch):
+    for chain in chains:
+        assert all(report.passed for _, report in verification_reports(chain))
 
     def perturbed(law, s):
         value, denominators = law_module._transform(law, s)
@@ -221,8 +229,9 @@ def test_determinant_check_fails_on_one_perturbed_stage(name, monkeypatch):
         return value, denominators
 
     monkeypatch.setattr(verify_module, "_transform", perturbed)
-    failed = [check for check, report in verification_reports(chain) if not report.passed]
-    assert failed == ["charpoly_vs_determinant"]
+    for chain in chains:
+        failed = [check for check, report in verification_reports(chain) if not report.passed]
+        assert failed == ["charpoly_vs_determinant"]
 
 
 def test_verify_seed_must_be_a_nonnegative_integer(d2_mixed):

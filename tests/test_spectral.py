@@ -19,6 +19,7 @@ from skipfree import (
     eigenvalues_discrete,
     expected_hitting_times,
     moments,
+    parse_chain,
 )
 from skipfree.corpus import (
     desk_scale,
@@ -27,8 +28,9 @@ from skipfree.corpus import (
     random_continuous_chain,
     random_discrete_chain,
 )
+from skipfree.spectral import _block_eigenvalues
 from skipfree.verify import MEAN_THRESHOLD
-from tests.conftest import in_time_unit
+from tests.conftest import CHAIN_DIR, in_time_unit
 
 
 def test_classify_cases():
@@ -178,6 +180,32 @@ def test_values_sorted_by_descending_real_part():
     chain = random_discrete_chain(np.random.default_rng(5), 6)
     vals = eigenvalues_discrete(chain).values
     assert all(a.real >= b.real for a, b in zip(vals, vals[1:]))
+
+
+def _keyed_sort(values, cls):
+    """The reference order: each value made complex, snapped unless Complex, in one keyed sort."""
+    if cls is not SpectrumClass.COMPLEX:
+        values = [complex(v.real, 0.0) for v in values]
+    return sorted((complex(v) for v in values), key=lambda v: (-v.real, v.imag))
+
+
+def test_spectrum_values_are_the_keyed_sort_of_the_solver_values():
+    families = (random_discrete_chain, random_birth_death_discrete,
+                random_continuous_chain, random_birth_death_continuous)
+    chains = [parse_chain(p.read_text()) for p in sorted(CHAIN_DIR.glob("*.json"))]
+    chains += [family(np.random.default_rng(seed), d)
+               for family in families for d in range(1, 13) for seed in range(3)]
+    for chain in chains:
+        raw = _block_eigenvalues(chain)
+        if chain.kind == "discrete":
+            spectrum = eigenvalues_discrete(chain)
+        else:
+            spectrum = eigenvalues_continuous(chain)
+            raw = [-v for v in raw]
+        # equal bit for bit, the sign of a zero included
+        bits = [(v.real.hex(), v.imag.hex()) for v in spectrum.values]
+        assert bits == [(v.real.hex(), v.imag.hex()) for v in _keyed_sort(raw, spectrum.classification)]
+        assert all(type(v) is complex for v in spectrum.values)
 
 
 @pytest.mark.filterwarnings("error")
