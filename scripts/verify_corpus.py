@@ -64,7 +64,7 @@ def main():
             status = "FAIL " + ",".join(bad) if bad else "ok"
             print(f"{family} d={d}: worst {peak_name} at {peak:.2e} of threshold [{status}]")
 
-    print("\nworst absolute error per check:")
+    print("\nworst error per check:")
     for name, err in sorted(worst.items()):
         print(f"  {name:32s} {err:.3e}")
     if failures:

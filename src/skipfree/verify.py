@@ -4,9 +4,9 @@ Each check pairs an output of the spectral/law pipeline with an independent
 route (prefix determinants by Hyman's method, O(d^3) for all prefixes at
 once, against the stage denominators; the eigenvalue product; the stage
 transform and the geometric phases inverted on the unit circle;
-uniformization; first-step linear systems) and reduces the pointwise errors
-to a ComparisonReport.  The CLI's ``verify`` command and the corpus scripts
-are thin wrappers over :func:`verification_reports`.
+uniformization; first-step linear systems) and reduces the pointwise errors,
+relative for the determinants, the eigenvalue product and the mean, to a
+ComparisonReport, which the CLI's ``verify`` and the corpus scripts print.
 """
 
 import math
@@ -77,29 +77,28 @@ def _prefix_slogdets(block, s, discrete):
 
 
 def _determinant_errors(law, rng):
-    """Prefix determinants as products of stage denominators against Hyman's method, in signed logs.
+    """Prefix determinants as products of stage denominators against Hyman's method.
 
-    The error (ratio - direct) / (1 + |direct|) is evaluated with its numerator and its
-    denominator scaled by exp(-max(0, log|direct|)), which changes nothing in exact
-    arithmetic and keeps both sides in range where the determinants pass the largest
-    double.  An error that still overflows is inf, and inf or NaN fails.
+    The error ratio / direct - 1 is relative, from each route's signs and log-magnitudes.
+    Both routes' factors are divided by the chain's time unit, a power of two, so their logs
+    sum as at unit rates and the error is the same at every unit.  A sign that differs, a
+    zero or overflowing determinant, inf or NaN fails.
     """
     chain = law.source
     discrete = chain.kind == "discrete"
     if discrete:
-        s = rng.uniform(-1.0, 1.0, size=DET_POINTS)
+        unit, draws = 1.0, rng.uniform(-1.0, 1.0, size=DET_POINTS)
     else:
-        # on the chain's time scale: with every rate times 2^k, every point is times 2^k exactly
+        # the chain's time unit: with every rate times 2^k, it is times 2^k exactly
         unit = math.ldexp(1.0, math.frexp(max(jump_totals(chain, chain.d)))[1] - 2)
-        s = unit * rng.uniform(0.0, 5.0, size=DET_POINTS)
-    _, denominators = _transform(law, s)
-    log_ratio = np.cumsum(np.log(np.abs(denominators)), axis=0)
-    sign_ratio = np.cumprod(np.sign(denominators), axis=0)
+        draws = rng.uniform(0.0, 5.0, size=DET_POINTS)
+    _, denominators = _transform(law, unit * draws)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sign, log_direct = _prefix_slogdets(transient_block(chain, chain.d - 1), s, discrete)
-        shift = np.maximum(0.0, log_direct)
-        gap = sign_ratio * np.exp(log_ratio - shift) - sign * np.exp(log_direct - shift)
-        return (gap / (np.exp(-shift) + np.exp(log_direct - shift))).ravel()
+        log_ratio = np.cumsum(np.log(np.abs(denominators / unit)), axis=0)
+        sign_ratio = np.cumprod(np.sign(denominators), axis=0)
+        block = transient_block(chain, chain.d - 1) / unit
+        sign, log_direct = _prefix_slogdets(block, draws, discrete)
+        return (sign_ratio * sign * np.exp(log_ratio - log_direct) - 1.0).ravel()
 
 
 def _product_identity(factors, chain):

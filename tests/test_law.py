@@ -42,6 +42,7 @@ from skipfree.corpus import (
     random_discrete_chain,
 )
 from skipfree.law import MAX_PMF_TERMS, PMF_BLOCK, default_grid
+from skipfree.verify import _determinant_errors
 from tests.conftest import CHAIN_DIR, GOLDEN_DIR, csv_rows, in_time_unit, pmf_by_path_enumeration
 
 
@@ -565,6 +566,9 @@ def test_continuous_answers_do_not_depend_on_the_time_unit(k):
         assert not failed, (chain, failed)
         law, law_scaled = build_law(chain), build_law(scaled)
         assert law_scaled.spectrum.classification is law.spectrum.classification
+        # the determinant check reads the same errors at every unit, bit for bit
+        errors = [_determinant_errors(x, np.random.default_rng(0)) for x in (law, law_scaled)]
+        assert np.array_equal(*errors)
         if k != 520:  # there the variance is subnormal
             mean, variance = moments(law)
             assert moments(law_scaled) == (mean / unit, variance / unit**2)

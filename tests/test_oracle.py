@@ -190,9 +190,8 @@ def test_prefix_slogdets_match_dense_lu(family):
             dense_sign, dense_log = _dense_slogdets(block, s, discrete)
             assert sign.shape == log.shape == (d, DET_POINTS)
             assert np.array_equal(sign, dense_sign)
-            # the check's error, (ratio - direct) / (1 + |direct|), with every determinant in range
-            error = np.abs(np.exp(log) - np.exp(dense_log)) / (1.0 + np.exp(dense_log))
-            assert error.max() <= 1e-12
+            # the check's relative error, with the signs equal
+            assert np.abs(np.expm1(log - dense_log)).max() <= 1e-12
 
 
 @pytest.mark.filterwarnings("error")
@@ -211,14 +210,14 @@ def test_prefix_slogdets_past_the_double_range():
 
 
 _SHIPPED = {p.name: parse_chain(p.read_text()) for p in sorted(CHAIN_DIR.glob("*.json"))}
-_SLOW = [in_time_unit(c, 2.0**-40) for c in _SHIPPED.values() if c.kind == "continuous"]
+_CONTINUOUS = [c for c in _SHIPPED.values() if c.kind == "continuous"]
 
 
 @pytest.mark.parametrize("chains", [pytest.param([c], id=name) for name, c in _SHIPPED.items()] + [
-    pytest.param(_SLOW, id="continuous-unit-2^-40", marks=pytest.mark.xfail(
-        strict=True, reason="FOUND in CHANGES.md: every determinant is far below 1 here, so the "
-        "check's error (ratio - direct) / (1 + |direct|) is absolute and misses the perturbation"))
+    pytest.param([in_time_unit(c, 2.0**k) for c in _CONTINUOUS], id=f"continuous-unit-2^{k}")
+    for k in (-480, -40, 520)
 ])
+@pytest.mark.filterwarnings("error")
 def test_determinant_check_fails_on_one_perturbed_stage(chains, monkeypatch):
     for chain in chains:
         assert all(report.passed for _, report in verification_reports(chain))
@@ -232,6 +231,21 @@ def test_determinant_check_fails_on_one_perturbed_stage(chains, monkeypatch):
     for chain in chains:
         failed = [check for check, report in verification_reports(chain) if not report.passed]
         assert failed == ["charpoly_vs_determinant"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [-1.0, 0.0, math.inf, math.nan])
+def test_determinant_check_fails_on_a_broken_stage_without_warning(factor, monkeypatch):
+    def broken(law, s):
+        value, denominators = law_module._transform(law, s)
+        denominators[-1] *= factor
+        return value, denominators
+
+    monkeypatch.setattr(verify_module, "_transform", broken)
+    for name in ("d2_mixed.json", "d2_coupled_rates.json"):
+        failed = [check for check, report in verification_reports(_SHIPPED[name])
+                  if not report.passed]
+        assert failed == ["charpoly_vs_determinant"], name
 
 
 def test_verify_seed_must_be_a_nonnegative_integer(d2_mixed):
@@ -455,6 +469,13 @@ def test_step_cap_counts_steps_not_waves(monkeypatch, d3_pure_birth):
     assert np.all(sample_hitting_times(d3_pure_birth, SamplerConfig(seed=0, paths=10)) == 3)
     monkeypatch.setattr(oracle, "PATH_STEP_CAP", 2)
     with pytest.raises(RunawayPathError):
+        sample_hitting_times(d3_pure_birth, SamplerConfig(seed=0, paths=10))
+    # the jump cap counts the jumps of all paths: here ten paths of three jumps each
+    monkeypatch.setattr(oracle, "PATH_STEP_CAP", 3)
+    monkeypatch.setattr(oracle, "SAMPLE_JUMP_CAP", 30)
+    assert np.all(sample_hitting_times(d3_pure_birth, SamplerConfig(seed=0, paths=10)) == 3)
+    monkeypatch.setattr(oracle, "SAMPLE_JUMP_CAP", 29)
+    with pytest.raises(RunawayPathError, match="the paths exceeded 29 jumps in all"):
         sample_hitting_times(d3_pure_birth, SamplerConfig(seed=0, paths=10))
 
 
