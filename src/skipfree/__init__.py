@@ -30,7 +30,6 @@ from .errors import (
     RangeError,
     RunawayPathError,
     SchemaError,
-    SingularSystemError,
     SkipFreeError,
     TailError,
     ValidationError,

@@ -11,9 +11,9 @@ call.
 
 A discrete row sums to 1 only within ROW_SUM_TOL, so 1 - r_i and
 p_i + sum_j q_{i,j} may differ by that much, and each route reads one of
-them.  The stored r_i enters through the block: the PMF table, the
-transforms (step 1 - r_i s) and the first-step solve (I - P) h = 1 read it
-there.  The moments and the sampler, its hold runs and its jumps alike,
+them.  The stored r_i enters through the block: the PMF table and the
+transforms (step 1 - r_i s) read it there.  The moments, the first-step
+solve (the block below its diagonal) and the sampler's hold runs and jumps
 take 1 - r_i as p_i + sum_j q_{i,j} (:func:`jump_totals`) and read no r_i.
 """
 

@@ -70,11 +70,10 @@ def desk_scale(chain, mean_cap=1000.0):
     """True when the chain absorbs fast enough for the oracle cross-checks.
 
     Strongly downward-biased chains absorb so slowly that their PMF tables
-    run to ~1e8 terms, past law.MAX_PMF_TERMS, and the first-step solve that
-    checks the mean then measures the rounding of the stored hold
-    probabilities (a row may miss 1 by ~1e-16) rather than the chain, so no
-    verification at 1e-8 tolerances is meaningful.  The cap is decided by
-    that linear system, independent of the stage recursion.
+    run to ~1e8 terms, past law.MAX_PMF_TERMS, so no verification at 1e-8
+    tolerances is practical.  The cap is decided by the first-step mean of
+    :func:`~skipfree.oracle.expected_hitting_times`, independent of the
+    stage recursion.
     """
     return float(expected_hitting_times(chain)[0]) <= mean_cap
 

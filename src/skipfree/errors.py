@@ -63,9 +63,5 @@ class DegenerateSpectrumError(NumericalError):
     """Partial-fraction inversion requested for a near-repeated spectrum."""
 
 
-class SingularSystemError(NumericalError):
-    """Linear system for expected hitting times is singular."""
-
-
 class RunawayPathError(NumericalError):
-    """A simulated trajectory exceeded the per-path step cap."""
+    """A sampler run passed a cap: PATH_STEP_CAP steps of a path or SAMPLE_JUMP_CAP jumps in all."""

@@ -517,16 +517,17 @@ def phase_representation(law):
     """Independent-phase parameters when the spectrum allows them, else None.
 
     Returns a tuple, in the spectrum's order, of the geometric success
-    probabilities (1 - lambda_i) for a discrete law or the exponential rates
-    lambda_i for a continuous one, whenever the classification is
-    RealNonnegative (and, discretely, every eigenvalue is below 1); the
-    absorption time is then the sum of those independent phases.  Returns
-    None otherwise; ``law.spectrum.classification`` says why.
+    probabilities min(1, 1 - lambda_i) for a discrete law (a RealNonnegative
+    lambda_i may be as low as -tol) or the exponential rates lambda_i for a
+    continuous one, whenever the classification is RealNonnegative (and,
+    discretely, every eigenvalue is below 1); the absorption time is then
+    the sum of those independent phases.  Returns None otherwise;
+    ``law.spectrum.classification`` says why.
     """
     spectrum = law.spectrum
     if spectrum.classification is not SpectrumClass.REAL_NONNEGATIVE:
         return None
     lam = [v.real for v in spectrum.values]
     if law.kind == "discrete":
-        return None if any(x >= 1.0 for x in lam) else tuple(1.0 - x for x in lam)
+        return None if any(x >= 1.0 for x in lam) else tuple(min(1.0, 1.0 - x) for x in lam)
     return tuple(lam)

@@ -3,11 +3,11 @@
 Everything here reaches the absorption law through a route disjoint from the
 charpoly/spectral pipeline: dense vector-matrix iteration, inversion of the
 stage transform and of the geometric phases' product on the unit circle,
-uniformization of the generator, and Monte Carlo simulation; the
-uniformization engine is the law's own fallback route,
-:func:`~skipfree.law.transient_profile`, and checks the partial fractions
-here.  :func:`report_from_errors` turns pointwise errors into
-pass/fail reports, and the KS statistics at the bottom compare samples.
+uniformization of the generator, GTH elimination for the mean absorption
+times, and Monte Carlo simulation; the uniformization engine is the law's
+own fallback route, :func:`~skipfree.law.transient_profile`, and checks the
+partial fractions here.  :func:`report_from_errors` turns pointwise errors
+into pass/fail reports, and the KS statistics at the bottom compare samples.
 
 Randomness contract, stream version 3: samplers draw from numpy's SFC64 bit
 generator seeded with ``SamplerConfig.seed``, consuming draws in wave order,
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import DiscreteChain, is_integer, jump_totals, transient_block
-from .errors import RangeError, RunawayPathError, SingularSystemError
+from .errors import InvariantError, RangeError, RunawayPathError
 from .law import MAX_PMF_TERMS, DistributionTable, pgf, transient_profile
 
 PATH_STEP_CAP = 10**9  # steps of one discrete path, so that its clock stays integral
@@ -280,19 +280,31 @@ def sample_hitting_times(chain, cfg):
 
 
 def expected_hitting_times(chain):
-    """Mean absorption times from each transient state, by first-step analysis.
+    """Mean absorption times from each transient state, by GTH elimination on the chain's weights.
 
-    Solves (I - P_{d-1}) h = 1 (discrete) or (-Q_{d-1}) h = 1 (continuous).
+    First-step analysis gives w_k h_k = 1 + up_k h_{k+1} + sum_{j<k} down_{k,j} h_j, h_d = 0, w_k
+    the row's total weight.  Elimination from the top (Grassmann, Taksar & Heyman 1985) folds
+    state k into k - 1, the only state with an edge into k: row k - 1 trades its up weight for the
+    share up_{k-1} / w'_k of row k's cost, exit and weights below k - 1, where the pivot w'_k sums
+    row k's exit and weights.  Pivots sum nonnegative weights: nothing cancels, no hold or total
+    rate is read, and one that underflows (a mean past the double range) raises InvariantError.
     """
-    block = transient_block(chain, chain.d - 1)
-    if isinstance(chain, DiscreteChain):
-        system = np.eye(chain.d) - block
-    else:
-        system = -block
-    try:
-        return np.linalg.solve(system, np.ones(chain.d))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"hitting-time system is singular: {exc}") from exc
+    d = chain.d
+    # column 0: the cost; 1: the weight into absorption; 2 + j: the weight into state j
+    rows = np.zeros((d, d + 2))
+    rows[:, 2:] = np.tril(transient_block(chain, d - 1), -1)
+    rows[:, 0], rows[-1, 1] = 1.0, chain.up[-1]
+    pivots, h = np.empty(d), np.empty(d)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(d - 1, 0, -1):
+            pivots[k] = rows[k, 1:].sum()
+            rows[k - 1, : k + 1] += chain.up[k - 1] / pivots[k] * rows[k, : k + 1]
+        pivots[0] = rows[0, 1]
+        for k in range(d):
+            h[k] = (rows[k, 0] + rows[k, 2 : k + 2] @ h[:k]) / pivots[k]
+    if not np.isfinite(h).all():
+        raise InvariantError("a mean absorption time passes the largest double")
+    return h
 
 
 def geometric_sum_pmf(params, length):

@@ -4,7 +4,8 @@ Each check pairs an output of the spectral/law pipeline with an independent
 route (prefix determinants by Hyman's method, O(d^3) for all prefixes at
 once, against the stage denominators; the eigenvalue product; the stage
 transform and the geometric phases inverted on the unit circle;
-uniformization; first-step linear systems) and reduces the pointwise errors,
+uniformization; the first-step means by GTH elimination from the top state,
+where the stage means build up from state 0) and reduces the pointwise errors,
 relative for the determinants, the eigenvalue product and the mean, to a
 ComparisonReport, which the CLI's ``verify`` and the corpus scripts print.
 """

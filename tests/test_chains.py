@@ -73,6 +73,7 @@ def test_parse_continuous():
         ('{"type":"discrete","d":1,"rows":[{"r":0.5,"p":0.5,"z":1}]}', "unknown"),
         ('{"type":"discrete","d":1,"rows":[{"r":"a","p":0.5}]}', "number"),
         ('{"type":"discrete","d":2,"rows":[{"r":0.5,"p":0.5},{"r":0.5,"p":0.4,"q":[0.1,0.2]}]}', "length"),
+        ('{"type":"discrete","d":2,"rows":[{"r":0.5,"p":0.5}]}', "rows must be an array of length d=2"),
         ('{"type":"continuous","d":1,"rows":[{"beta":[]}]}', "missing"),
         ("[1]", "chain spec must be an object, got list"),
         ('{"type":"discrete","rows":[],"x":1,"y":2}', "chain spec missing field(s): d"),
@@ -91,9 +92,22 @@ def test_validation_rejects_zero_up_probability():
         ContinuousChain(d=1, up=[0.0])
 
 
+def test_validation_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValidationError, match="need exactly d=2 hold and up entries, got 1 and 2"):
+        DiscreteChain(d=2, hold=[0.5], up=[0.5, 0.5])
+    with pytest.raises(ValidationError, match="need exactly d=2 up rates, got 3"):
+        ContinuousChain(d=2, up=[1.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="down-jump row 1 must have length 1, got 2"):
+        DiscreteChain(d=2, hold=[0.5, 0.5], up=[0.5, 0.2], down=[[], [0.2, 0.1]])
+    with pytest.raises(ValidationError, match="down-jump table must have 2 rows, got 1"):
+        ContinuousChain(d=2, up=[1.0, 1.0], down=[[]])
+
+
 def test_validation_rejects_entry_outside_unit_interval():
     with pytest.raises(ValidationError):
         DiscreteChain(d=1, hold=[-0.5], up=[1.5])
+    with pytest.raises(ValidationError, match="row 1 has down rate -1.0 < 0"):
+        ContinuousChain(d=2, up=[1.0, 1.0], down=[[], [-1.0]])
     # d is a Python or numpy integer, not a bool, and every entry a real number
     for d in (1.9, 2.5, "2", True, np.float64(2.0)):
         with pytest.raises(ValidationError, match="d must be a positive integer"):
@@ -252,6 +266,7 @@ _CONTINUOUS_ROWS = [{"alpha": 1.0}, {"alpha": 1.0, "beta": [2]}, {"alpha": 1.0, 
         ("discrete", 1, {"r": "a", "p": True}, "row 1.r must be a number, got str"),
         ("discrete", 1, {"r": 0.5, "p": "x", "q": "y"}, "row 1.p must be a number, got str"),
         ("discrete", 2, {"r": 0.5, "p": 0.25, "q": [0.25]}, "row 2.q must have length 2, got 1"),
+        ("continuous", 2, {"alpha": 1.0, "beta": [0.5]}, "row 2.beta must have length 2, got 1"),
     ],
 )
 def test_row_schema_error_messages(kind, i, row, message):

@@ -17,6 +17,8 @@ def test_polynomial_trims_exact_trailing_zeros_only():
     assert Polynomial((0.0,)).coeffs == (0.0,)
     assert Polynomial((1.0, 1e-300)).coeffs == (1.0, 1e-300)  # tiny is kept
     assert Polynomial((3.0,)).degree == 0
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        Polynomial(())
 
 
 def test_discrete_seq_base_and_worked_chain(d1_geometric, d2_mixed):

@@ -122,6 +122,8 @@ def test_pdf_cdf_commands(capsys):
     doc = json.loads(out)
     # oracle: Erlang(3,1) CDF at 1 is 1 - e^{-1}(1 + 1 + 1/2)
     assert doc["cumulative"][-1] == pytest.approx(1 - math.exp(-1) * 2.5, abs=1e-9)
+    code, out, err = run_cli(capsys, "cdf", CHAIN_DIR / "d3_erlang.json", "--grid-max", "inf")
+    assert (code, out) == (1, "") and err == "error: invalid input: grid_max must be finite, got inf\n"
 
 
 def test_sample_deterministic_and_seeded(capsys):
@@ -185,6 +187,17 @@ def test_law_past_the_double_range_exits_2(tmp_path, generator, message):
     proc = _cli_subprocess("law", wide)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: numerical failure: {message}\n"
+
+
+def test_law_with_an_overflowing_denominator_exits_2(tmp_path, capsys):
+    # gamma_0 gamma_1 = 1e400 overflows the denominator, while the leading constant is 1e200
+    chain = ContinuousChain(d=2, up=[1e200, 1.0], down=[[], [1e200]])
+    assert build_law(chain).leading == 1e200
+    path = tmp_path / "wide_d2.json"
+    path.write_text(serialize_chain(chain))
+    code, out, err = run_cli(capsys, "law", path)
+    assert (code, out) == (2, "")
+    assert err == "error: numerical failure: a denominator coefficient overflows a double\n"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -450,7 +463,7 @@ def test_every_error_has_exactly_one_exit_code_base():
     bases = (InputError, NumericalError)
     leaves = [cls for cls in vars(errors).values() if isinstance(cls, type)
               and issubclass(cls, SkipFreeError) and cls not in bases + (SkipFreeError,)]
-    assert len(leaves) >= 10  # the scan found the module's error classes
+    assert len(leaves) >= 9  # the scan found the module's error classes
     for cls in leaves:
         assert sum(issubclass(cls, base) for base in bases) == 1, cls.__name__
 

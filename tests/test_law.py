@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from skipfree import (
     ContinuousChain,
     DegenerateSpectrumError,
+    DiscreteChain,
     DistributionTable,
     InvariantError,
     PoleError,
@@ -82,12 +83,23 @@ def test_pgf_values(d1_geometric, d2_mixed, d3_pure_birth):
 
 def test_pgf_pole_and_kind_guard(d1_geometric, rates12_pure_birth):
     law = build_law(d1_geometric)
+    rates = build_law(rates12_pure_birth)
     with pytest.raises(PoleError):
         pgf(law, 2.0)  # denominator 1 - 0.5 s vanishes at 2
     with pytest.raises(ValueError):
-        pgf(build_law(rates12_pure_birth), 0.5)
+        pgf(rates, 0.5)
     with pytest.raises(ValueError):
         laplace(law, 1.0)
+    with pytest.raises(ValueError, match="s must be a scalar or a 1-D array"):
+        pgf(law, [[0.5]])
+    with pytest.raises(TypeError, match="not a chain: dict"):
+        build_law({"type": "discrete"})
+    with pytest.raises(ValueError, match="pmf_table is defined for discrete laws only"):
+        pmf_table(rates)
+    with pytest.raises(ValueError, match="pdf_cdf_table is defined for continuous laws only"):
+        pdf_cdf_table(law, [0.0, 1.0])
+    with pytest.raises(TypeError, match="transient_profile needs a continuous chain"):
+        law_module.transient_profile(d1_geometric, 1.0)
 
 
 def test_laplace_values(rate2_single, rates12_pure_birth, rates11_coupled):
@@ -397,6 +409,16 @@ def test_pdf_cdf_grid_validation(rates12_pure_birth):
         for bad in ([0.0, np.nan], [0.0, np.inf]):
             with pytest.raises(RangeError):
                 pdf_cdf_table(law, bad, method=method)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(RangeError, match="grid_max must be finite"):
+            default_grid(law, 3, bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_partial_fraction_weights_past_the_double_range_raise():
+    # 300 rates 2e-6 apart: the weights' running products pass the largest double
+    with pytest.raises(InvariantError, match="a partial-fraction weight leaves the double range"):
+        law_module._partial_fraction_weights(1.0 + 2e-6 * np.arange(300))
 
 
 def test_default_grid_points_stop_at_the_table_row_cap(rates12_pure_birth):
@@ -465,7 +487,7 @@ def _exact_first_step_moments(chain):
 
 
 def test_moments_against_exact_rational_first_step_solve():
-    # the float first-step solves agree only to about 1e-8 at larger means
+    # exact rationals, so that the oracle adds no rounding of its own
     checked = 0
     for family in (random_discrete_chain, random_continuous_chain,
                    random_birth_death_discrete, random_birth_death_continuous):
@@ -519,6 +541,10 @@ def test_continuous_mean_against_linear_system(seed, d):
 
 def test_phase_representation(d1_geometric, d2_mixed, rates11_coupled):
     assert phase_representation(build_law(d1_geometric)) == pytest.approx((0.5,))
+    # eigenvalues +-1e-10: RealNonnegative within tol, and every phase still a probability
+    tight = DiscreteChain(d=2, hold=[0.0, 0.0], up=[1.0, 1.0], down=[[], [1e-20]])
+    phases = phase_representation(build_law(tight))
+    assert phases == pytest.approx((1.0, 1.0)) and all(0.0 < p <= 1.0 for p in phases)
     blocked = build_law(d2_mixed)
     assert phase_representation(blocked) is None
     assert blocked.spectrum.classification is SpectrumClass.REAL_MIXED_SIGN

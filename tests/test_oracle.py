@@ -45,9 +45,11 @@ from skipfree.verify import (
 from tests.conftest import CHAIN_DIR, in_time_unit, pmf_by_path_enumeration, prefix
 
 
-def test_matrix_power_geometric(d1_geometric):
+def test_matrix_power_geometric(d1_geometric, rate2_single):
     table = pmf_by_matrix_power(d1_geometric, 3)
     assert table.mass_or_density == pytest.approx((0.5, 0.25, 0.125))
+    with pytest.raises(TypeError, match="needs a discrete chain"):
+        pmf_by_matrix_power(rate2_single, 3)
 
 
 def test_matrix_power_worked_chain(d2_mixed):
@@ -59,6 +61,8 @@ def test_matrix_power_pure_birth(d3_pure_birth):
     table = pmf_by_matrix_power(d3_pure_birth, 5)
     assert table.mass_or_density.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
     assert table.tail_bound == 0.0
+    with pytest.raises(ValueError, match="n_max must be at least d=3"):
+        pmf_by_matrix_power(d3_pure_birth, 2)
 
 
 def test_path_enumeration_matches_matrix_power(d2_mixed):
@@ -122,7 +126,7 @@ def test_uniformization_past_weight_underflow(monkeypatch):
     assert profiles[-1].sum() > 0.5
 
 
-def test_uniformization_at_long_times():
+def test_uniformization_at_long_times(rate2_single):
     from scipy.linalg import expm
 
     # fast internal rates and a slow exit: at Lambda t = 1e6 most mass is still transient
@@ -134,6 +138,9 @@ def test_uniformization_at_long_times():
     dense = np.array([expm(block * t)[0] for t in grid])
     assert np.max(np.abs(profiles - dense)) <= 1e-9
     assert profiles[-1].sum() > 0.5
+    # at t = 1e6 the step matrix underflows to zero part-way through its 22 squarings
+    assert transient_profile(rate2_single, 1e6).tolist() == [0.0]
+    assert cdf_by_uniformization(rate2_single, np.array([0.0, 1e6])).tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -148,8 +155,7 @@ def test_uniformization_at_long_times():
         pytest.param(random_birth_death_continuous, 256, (2,), "cdf_vs_uniformization",
                      id="256-seed2", marks=pytest.mark.xfail(
                          strict=True, reason="ROADMAP item 1: mean 4.1e10, and laplace_at_zero, "
-                         "eigen_product_identity, cdf_vs_uniformization and "
-                         "mean_vs_linear_system fail")),
+                         "eigen_product_identity and cdf_vs_uniformization fail")),
         pytest.param(random_birth_death_discrete, 64, (0, 1, 2), "pmf_vs_geometric_convolution",
                      id="discrete-64"),
         pytest.param(random_birth_death_discrete, 128, (0, 1, 2),
@@ -505,13 +511,51 @@ def test_expected_hitting_times_worked(d1_geometric, d2_mixed, rates12_pure_birt
     assert expected_hitting_times(rates12_pure_birth) == pytest.approx([1.5, 0.5])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the solve reads the stored holds, "
-                   "whose rows miss 1 by rounding that a slowly absorbing chain amplifies")
 def test_expected_hitting_time_of_a_slowly_absorbing_chain():
     chain = random_discrete_chain(np.random.default_rng(1), 24)
-    # the stage mean, and the exact rational solve with each hold taken as 1 - p - sum q
+    # the stage mean, and the exact rational solve with each hold taken as 1 - p - sum q; a
+    # dense solve with the stored holds, whose rows miss 1 by rounding, gave 1.445e16
     mean = 6.004464652981843e22
-    assert abs(expected_hitting_times(chain)[0] - mean) <= 1e-8 * mean  # 1.445e16 today
+    assert abs(expected_hitting_times(chain)[0] - mean) <= 1e-8 * mean
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family,d", [(random_birth_death_continuous, 256),
+                                      (random_birth_death_continuous, 512),
+                                      (random_continuous_chain, 16), (random_continuous_chain, 32)])
+def test_expected_hitting_times_match_the_stage_means_past_desk_scale(family, d):
+    # a dense solve with the stored diagonals missed these means by 2.4e-11 to 1.0 relative
+    for seed in range(3):
+        chain = family(np.random.default_rng(seed), d)
+        mean = moments(build_law(chain))[0]
+        assert abs(expected_hitting_times(chain)[0] - mean) <= 1e-14 * mean, seed
+
+
+@pytest.mark.filterwarnings("error")
+def test_expected_hitting_times_match_a_dense_solve_at_desk_scale():
+    rng, checked = np.random.default_rng(5), 0
+    for family in (random_discrete_chain, random_continuous_chain,
+                   random_birth_death_discrete, random_birth_death_continuous):
+        for _ in range(100):
+            chain = family(rng, int(rng.integers(1, 13)))
+            block = transient_block(chain, chain.d - 1)
+            system = np.eye(chain.d) - block if chain.kind == "discrete" else -block
+            dense = np.linalg.solve(system, np.ones(chain.d))
+            if dense[0] <= 1e4:  # where the dense solve still measures the chain
+                assert np.max(np.abs(expected_hitting_times(chain) / dense - 1.0)) <= 1e-11
+                checked += 1
+    assert checked == 331  # of the 400 chains; the worst error is 1.2e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_expected_hitting_times_past_the_double_range_raise():
+    with pytest.raises(InvariantError, match="passes the largest double"):
+        expected_hitting_times(random_discrete_chain(np.random.default_rng(0), 512))
+
+
+def test_expected_hitting_time_within_the_row_tolerance():
+    # the row sums to 1 + 1e-13, so 1 - r_0 = 0 and a dense solve with the stored hold is singular
+    assert expected_hitting_times(DiscreteChain(d=1, hold=[1.0], up=[1e-13])).tolist() == [1e13]
 
 
 def test_ks_statistic_behaviour():

@@ -223,6 +223,16 @@ def test_non_finite_eigenvalue_raises(monkeypatch, rates11_coupled):
     with pytest.raises(ConvergenceError):
         eigenvalues_continuous(rates11_coupled)
 
+    # a solver that fails on either route raises ConvergenceError too
+    def fail(m):
+        raise np.linalg.LinAlgError("no convergence")
+
+    general = ContinuousChain(d=3, up=[1.0, 2.0, 0.5], down=[[], [0.7], [0.1, 1.5]])
+    for solver, chain in (("eigvalsh", rates11_coupled), ("eigvals", general)):
+        monkeypatch.setattr(np.linalg, solver, fail)
+        with pytest.raises(ConvergenceError, match="did not converge: no convergence"):
+            eigenvalues_continuous(chain)
+
 
 def test_continuous_realness_is_relative_to_each_eigenvalue():
     chain = random_continuous_chain(np.random.default_rng(1), 4)  # a pair 3.2026 +- 1.3541i
