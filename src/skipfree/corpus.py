@@ -9,6 +9,7 @@ Gershgorin and so guarantees a geometric phase representation.
 """
 
 from .chains import ContinuousChain, DiscreteChain
+from .errors import InvariantError
 from .oracle import expected_hitting_times
 
 # the families' draw parameters
@@ -73,9 +74,12 @@ def desk_scale(chain, mean_cap=1000.0):
     run to ~1e8 terms, past law.MAX_PMF_TERMS, so no verification at 1e-8
     tolerances is practical.  The cap is decided by the first-step mean of
     :func:`~skipfree.oracle.expected_hitting_times`, independent of the
-    stage recursion.
+    stage recursion.  A mean past the largest double is past every cap.
     """
-    return float(expected_hitting_times(chain)[0]) <= mean_cap
+    try:
+        return float(expected_hitting_times(chain)[0]) <= mean_cap
+    except InvariantError:
+        return False
 
 
 def random_birth_death_continuous(rng, d):

@@ -60,7 +60,7 @@ class TailError(NumericalError):
 
 
 class DegenerateSpectrumError(NumericalError):
-    """Partial-fraction inversion requested for a near-repeated spectrum."""
+    """Partial fractions forced on no positive phases or on eps sum|w_i| > UNIFORMIZATION_TOL."""
 
 
 class RunawayPathError(NumericalError):

@@ -17,8 +17,9 @@ continuous chain's transforms and moments do not depend on its time unit.
 The discrete PMF is vector iteration on the transient block in blocks of
 PMF_BLOCK powers, the masses of a batch of 1, 2, 4, ... blocks taken in one
 product, with the exact mass left in the transient states as its tail
-bound.  A continuous table takes partial fractions over distinct real
-phases, else the chain's occupancy by uniformization (Jensen 1953,
+bound.  A continuous table takes partial fractions over the phases where
+their weights' rounding, eps sum |w_i|, stays within UNIFORMIZATION_TOL,
+else the chain's occupancy by uniformization (Jensen 1953,
 :func:`transient_profile`), kept here so that no oracle is imported; one
 rule, :func:`_grid`, validates every continuous grid.  The monomial
 denominator is computed only on request (:attr:`HittingLaw.denom`), for the
@@ -50,10 +51,10 @@ from .spectral import (
 POLE_GUARD = 1e-13
 DEFAULT_PMF_EPS = 1e-12
 DEFAULT_GRID_POINTS = 200
-PF_MIN_RELATIVE_GAP = 1e-6
 MAX_PMF_TERMS = 1_000_000
 PMF_BLOCK = 256
-UNIFORMIZATION_TOL = 1e-10  # the largest error of a uniformized table entry
+UNIFORMIZATION_TOL = 1e-10  # the largest error of a continuous table entry, by either route
+PHASE_MEAN_TOL = 1e-8  # |sum 1/lambda_i / E[tau] - 1| allowed before a table reads the phases
 
 
 @dataclass(frozen=True)
@@ -287,32 +288,6 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS):
     raise TailError(f"PMF table exceeded {MAX_PMF_TERMS} terms before the mass left fell to {eps}")
 
 
-def _partial_fraction_weights(rates):
-    """w_i = prod_{j != i} lambda_j / (lambda_j - lambda_i) for each i.
-
-    A running product that leaves the double range raises InvariantError,
-    with no warning.
-    """
-    rates = np.asarray(rates, dtype=float)
-    weights = np.empty_like(rates)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, lam in enumerate(rates):
-            others = np.delete(rates, i)
-            weights[i] = np.prod(others / (others - lam))
-    if not np.isfinite(weights).all():
-        raise InvariantError("a partial-fraction weight leaves the double range")
-    return weights
-
-
-def _separable(rates):
-    """Are ``rates`` (phases or None) distinct and positive, as partial fractions need?"""
-    if rates is None:
-        return False
-    lam = sorted(rates)
-    gaps = zip(lam, lam[1:])
-    return lam[0] > 0.0 and all(b - a > PF_MIN_RELATIVE_GAP * b for a, b in gaps)
-
-
 def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
     """Evaluation grid for continuous tables: ``points`` values on [0, grid_max].
 
@@ -413,24 +388,48 @@ def transient_profile(chain, t):
     return occupancy if np.ndim(t) else occupancy[0]
 
 
+def _partial_fractions(rates, grid):
+    """(density, cdf) on ``grid`` by the hypoexponential closed form, or None where not admitted.
+
+    The weights w_i = prod_{j!=i} lambda_j / (lambda_j - lambda_i) give the density
+    sum_i w_i lambda_i exp(-lambda_i t) and the CDF 1 - sum_i w_i exp(-lambda_i t), whose
+    rounding is of order eps sum_i |w_i|.  The form is admitted on positive ``rates`` (the
+    phases) when that is within UNIFORMIZATION_TOL, the uniformized route's promise.
+    """
+    if rates is None or min(rates) <= 0.0:
+        return None
+    lam = np.array(rates)
+    w = np.empty_like(lam)
+    # a repeated rate divides by zero, a running product may overflow: both fail the bound
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, x in enumerate(lam):
+            others = np.delete(lam, i)
+            w[i] = np.prod(others / (others - x))
+        error = np.finfo(float).eps * np.abs(w).sum()
+    if not error <= UNIFORMIZATION_TOL:  # NaN fails too
+        return None
+    # t lambda overflows to inf only where exp(-t lambda) is 0 anyway
+    with np.errstate(over="ignore"):
+        decay = np.exp(-np.outer(grid, lam))
+    return decay @ (w * lam), (1.0 - decay) @ w
+
+
 def pdf_cdf_table(law, grid=None, method="auto"):
     """Density and CDF of a continuous law on a grid.
 
-    With distinct, real, strictly positive eigenvalues (pairwise relative
-    gap above 1e-6) the hypoexponential partial-fraction closed form
-
-        f(t) = sum_i [prod_{j!=i} lambda_j/(lambda_j - lambda_i)] lambda_i exp(-lambda_i t)
-
-    is used.  Every other spectrum routes through :func:`transient_profile`
-    on the source chain, within UNIFORMIZATION_TOL of every entry.
-    ``method`` forces one route; "auto" picks per the rule above.
+    The hypoexponential partial-fraction closed form over the phases is used
+    wherever :func:`_partial_fractions` admits it; every other law routes
+    through :func:`transient_profile` on the source chain, within
+    UNIFORMIZATION_TOL of every entry.  ``method`` forces one route.  Unless
+    uniformization is forced, phases whose means sum_i 1/lambda_i miss the
+    stage mean by more than PHASE_MEAN_TOL raise InvariantError.
 
     Raises
     ------
     DegenerateSpectrumError
-        If partial_fractions is forced on a near-repeated spectrum.
+        If partial_fractions is forced where the closed form is not admitted.
     InvariantError
-        If a partial-fraction weight or a uniformized row leaves its range.
+        If the phases miss the mean, or a uniformized row leaves its range.
     RangeError
         If the grid is empty, not finite, unsorted or negative.
     """
@@ -440,24 +439,20 @@ def pdf_cdf_table(law, grid=None, method="auto"):
         raise ValueError(f"unknown method {method!r}")
     grid = _grid(default_grid(law) if grid is None else grid)  # a copy, kept as the support
 
-    rates = phase_representation(law)
-    separable = _separable(rates)
-    if method == "partial_fractions" and not separable:
+    rates = None if method == "uniformization" else phase_representation(law)
+    if rates is not None:
+        with np.errstate(divide="ignore", over="ignore"):
+            miss = abs(np.sum(1.0 / np.array(rates)) / moments(law)[0] - 1.0)
+        if not miss <= PHASE_MEAN_TOL:  # NaN fails too
+            raise InvariantError(f"the phases' mean sum(1/lambda_i) is off by {miss:.3e} relative")
+    closed = _partial_fractions(rates, grid)
+    if closed is not None:
+        density, cdf = closed
+    elif method == "partial_fractions":
         raise DegenerateSpectrumError(
-            "partial fractions need distinct real positive eigenvalues "
-            f"(classification {law.spectrum.classification.value})"
+            "partial fractions need positive phases with eps sum|w_i| within "
+            f"{UNIFORMIZATION_TOL} (classification {law.spectrum.classification.value})"
         )
-    if method == "auto":
-        method = "partial_fractions" if separable else "uniformization"
-
-    if method == "partial_fractions":
-        lam = np.array(rates)
-        w = _partial_fraction_weights(lam)
-        # t lambda overflows to inf only where exp(-t lambda) is 0 anyway
-        with np.errstate(over="ignore"):
-            decay = np.exp(-np.outer(grid, lam))
-        density = decay @ (w * lam)
-        cdf = (1.0 - decay) @ w
     else:
         chain = law.source
         occupancy = transient_profile(chain, grid)

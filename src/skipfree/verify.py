@@ -15,13 +15,13 @@ import math
 import numpy as np
 
 from .chains import DiscreteChain, is_integer, jump_totals, transient_block
-from .errors import DegenerateSpectrumError, RangeError
+from .errors import RangeError
 from .law import (
+    _partial_fractions,
     _transform,
     build_law,
     default_grid,
     laplace,
-    pdf_cdf_table,
     pgf,
     phase_representation,
     pmf_table,
@@ -114,9 +114,10 @@ def verification_reports(chain, seed=0):
     """All oracle cross-checks for one chain.
 
     Returns an ordered list of (check name, ComparisonReport).  Checks that
-    need a special spectrum (geometric phases, hypoexponential CDF)
-    are emitted only when the spectrum qualifies.  Raises RangeError unless
-    ``seed`` is an integer >= 0.
+    need a special spectrum are emitted only when it qualifies: geometric
+    phases, and ``cdf_vs_uniformization`` exactly where the partial-fraction
+    closed form is admitted.  Raises RangeError unless ``seed`` is an
+    integer >= 0.
     """
     if not (is_integer(seed) and seed >= 0):
         raise RangeError(f"seed must be >= 0 and an integer, got {seed!r}")
@@ -149,12 +150,9 @@ def verification_reports(chain, seed=0):
         reports.append(("laplace_at_zero", report_from_errors([at_zero], 1e-10)))
         reports.append(("eigen_product_identity", _product_identity(lam, chain)))
         grid = default_grid(law, 50)
-        try:
-            closed = pdf_cdf_table(law, grid, method="partial_fractions")
-        except DegenerateSpectrumError:
-            closed = None
+        closed = _partial_fractions(phase_representation(law), grid)
         if closed is not None:
-            errs = np.asarray(closed.cumulative) - cdf_by_uniformization(chain, grid)
+            errs = closed[1] - cdf_by_uniformization(chain, grid)
             reports.append(
                 ("cdf_vs_uniformization", report_from_errors(errs, CDF_THRESHOLD))
             )

@@ -23,6 +23,7 @@ from skipfree import (
     pdf_cdf_table,
     phase_representation,
     pmf_table,
+    transient_block,
 )
 from skipfree.corpus import (
     random_birth_death_continuous,
@@ -354,17 +355,40 @@ def test_overflowing_total_rate_exits_2_at_once(tmp_path, command):
             "error: numerical failure: the total exit rate of row 1 passes the largest double\n")
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_partial_fraction_weights_past_the_double_range_exit_2(tmp_path, seed):
-    # a running product of the weights passes 1e387, which would leave 200 NaN rows
-    chain = random_birth_death_continuous(np.random.default_rng(seed), 1024)
-    path = tmp_path / "birth_death_d1024.json"
+@pytest.mark.parametrize("d, seed", [(512, 1), (1024, 0), (1024, 1)])
+def test_phases_that_miss_the_mean_exit_2(tmp_path, d, seed):
+    # spectra whose sum of 1/lambda_i misses the stage mean: at d = 512 by 0.88, where the
+    # closed form printed a wrong table with exit 0; at d = 1024 a running product of the
+    # weights passes 1e387, and the uniformized table took 31 s and was off by 1e-5
+    chain = random_birth_death_continuous(np.random.default_rng(seed), d)
+    path = tmp_path / f"birth_death_d{d}.json"
     path.write_text(serialize_chain(chain))
-    for command in ("pdf", "cdf"):
-        proc = _cli_subprocess(command, path)
-        assert proc.returncode == 2 and proc.stdout == "", command
-        assert proc.stderr.startswith("error: numerical failure: ")
-        assert proc.stderr.count("\n") == 1, proc.stderr
+    for argv in (["pdf"], ["cdf"], ["cdf", "--method", "partial_fractions"]):
+        proc = _cli_subprocess(*argv, path)
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert re.fullmatch(r"error: numerical failure: the phases' mean sum\(1/lambda_i\)"
+                            r" is off by \S+ relative\n", proc.stderr), proc.stderr
+
+
+def test_near_repeated_rates_take_the_uniformized_table(capsys):
+    # rates 1e-4 apart: the weights sum to 1.3e12 in modulus, and the closed form's CDF
+    # missed the exact one by up to 1.8e-4 on the default grid; auto now uniformizes
+    from scipy.linalg import expm
+
+    path = CHAIN_DIR / "d4_near_repeated_rates.json"
+    chain = parse_chain(path.read_text())
+    code, out, err = run_cli(capsys, "cdf", path)
+    assert code == 0 and err == ""
+    uniformized = pdf_cdf_table(build_law(chain), method="uniformization")
+    assert np.array_equal(csv_rows(out), csv_rows(emit_table(uniformized, "csv")))
+    block = transient_block(chain, chain.d - 1)
+    exact = [1.0 - expm(block * t)[0].sum() for t in uniformized.support]
+    assert np.max(np.abs(uniformized.cumulative - exact)) <= 1e-10
+    code, out, err = run_cli(capsys, "cdf", path, "--method", "partial_fractions")
+    assert code == 2 and out == ""
+    assert err.startswith("error: numerical failure: partial fractions need positive phases")
+    code, out, _ = run_cli(capsys, "verify", path)
+    assert code == 0 and "cdf_vs_uniformization" not in out
 
 
 @pytest.mark.filterwarnings("error")

@@ -415,10 +415,17 @@ def test_pdf_cdf_grid_validation(rates12_pure_birth):
 
 
 @pytest.mark.filterwarnings("error")
-def test_partial_fraction_weights_past_the_double_range_raise():
-    # 300 rates 2e-6 apart: the weights' running products pass the largest double
-    with pytest.raises(InvariantError, match="a partial-fraction weight leaves the double range"):
-        law_module._partial_fraction_weights(1.0 + 2e-6 * np.arange(300))
+def test_near_repeated_rates_past_the_double_range_uniformize():
+    # 300 rates 2e-6 apart: the weights' running products pass the largest double, so the
+    # closed form is not admitted and auto takes the uniformized table, bit for bit
+    law = build_law(ContinuousChain(d=300, up=(1.0 + 2e-6 * np.arange(300)).tolist()))
+    grid = np.linspace(0.0, 600.0, 7)
+    with pytest.raises(DegenerateSpectrumError, match="eps sum"):
+        pdf_cdf_table(law, grid, method="partial_fractions")
+    auto, uniformized = (pdf_cdf_table(law, grid, method=m) for m in ("auto", "uniformization"))
+    for field in ("support", "mass_or_density", "cumulative"):
+        assert np.array_equal(getattr(auto, field), getattr(uniformized, field))
+    assert auto.tail_bound == uniformized.tail_bound
 
 
 def test_default_grid_points_stop_at_the_table_row_cap(rates12_pure_birth):

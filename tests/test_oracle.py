@@ -26,6 +26,7 @@ from skipfree import (
 from skipfree import law as law_module
 from skipfree.chains import jump_totals, transient_block
 from skipfree.corpus import (
+    desk_scale,
     random_birth_death_continuous,
     random_birth_death_discrete,
     random_continuous_chain,
@@ -551,6 +552,16 @@ def test_expected_hitting_times_match_a_dense_solve_at_desk_scale():
 def test_expected_hitting_times_past_the_double_range_raise():
     with pytest.raises(InvariantError, match="passes the largest double"):
         expected_hitting_times(random_discrete_chain(np.random.default_rng(0), 512))
+
+
+@pytest.mark.filterwarnings("error")
+def test_desk_scale_is_false_past_the_double_range():
+    # the mean of this chain passes the largest double, so it is past every cap
+    chain = random_discrete_chain(np.random.default_rng(0), 256)
+    with pytest.raises(InvariantError, match="passes the largest double"):
+        expected_hitting_times(chain)
+    assert desk_scale(chain) is False
+    assert desk_scale(chain, math.inf) is False
 
 
 def test_expected_hitting_time_within_the_row_tolerance():
