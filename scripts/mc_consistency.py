@@ -5,9 +5,10 @@ against the analytic transform moments (in standard-error units) and runs
 the telescoping Kolmogorov-Smirnov check: a trajectory 0 -> d sampled
 directly must be distributed like the sum of independently sampled stage
 passages i -> i+1, each the absorption from state i of the chain's first
-i+1 rows.
+i+1 rows.  The KS helpers live in ``tests/conftest.py``, so run it as a
+module from the repository root:
 
-    python3 scripts/mc_consistency.py --chains 10 --paths 50000
+    PYTHONPATH=src python -m scripts.mc_consistency --chains 10 --paths 50000
 
 Exits 1 if any row is flagged ``<-- CHECK``.
 """
@@ -18,33 +19,9 @@ import sys
 
 import numpy as np
 
-from skipfree import (
-    ContinuousChain,
-    DiscreteChain,
-    SamplerConfig,
-    build_law,
-    ks_critical_value,
-    ks_two_sample,
-    moments,
-)
+from skipfree import SamplerConfig, build_law, moments, sample_hitting_times
 from skipfree.corpus import desk_scale, random_continuous_chain, random_discrete_chain
-from skipfree.oracle import sample_hitting_times
-
-
-def prefix(chain, n):
-    """The chain of the first ``n`` rows of ``chain``: its absorption time is the passage 0 -> n."""
-    if isinstance(chain, DiscreteChain):
-        return DiscreteChain(d=n, hold=chain.hold[:n], up=chain.up[:n], down=chain.down[:n])
-    return ContinuousChain(d=n, up=chain.up[:n], down=chain.down[:n])
-
-
-def telescoping_statistic(chain, seed, paths):
-    direct = sample_hitting_times(chain, SamplerConfig(seed=seed, paths=paths))
-    staged = np.zeros(paths)
-    for i in range(chain.d):
-        cfg = SamplerConfig(seed=seed + 1 + i, paths=paths, start_state=i)
-        staged = staged + sample_hitting_times(prefix(chain, i + 1), cfg)
-    return ks_two_sample(direct, staged)
+from tests.conftest import ks_critical_value, telescoping_statistic
 
 
 def main():

@@ -52,8 +52,6 @@ from .oracle import (
     cdf_by_uniformization,
     expected_hitting_times,
     geometric_sum_pmf,
-    ks_critical_value,
-    ks_two_sample,
     pmf_by_matrix_power,
     pmf_by_transform_inversion,
     sample_hitting_times,

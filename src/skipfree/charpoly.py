@@ -38,10 +38,6 @@ class Polynomial:
             n -= 1
         object.__setattr__(self, "coeffs", c[:n])
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
 
 def _charpoly_seq(chain):
     """[det(x I - M_{n-1}) for n = 0..d] of the chain's transient block M, ascending in x.

@@ -54,7 +54,7 @@ DEFAULT_GRID_POINTS = 200
 MAX_PMF_TERMS = 1_000_000
 PMF_BLOCK = 256
 UNIFORMIZATION_TOL = 1e-10  # the largest error of a continuous table entry, by either route
-PHASE_MEAN_TOL = 1e-8  # |sum 1/lambda_i / E[tau] - 1| allowed before a table reads the phases
+PHASE_MEAN_TOL = 1e-8  # |sum 1/lambda_i / E[tau] - 1| allowed before a real spectrum is read or printed
 
 
 @dataclass(frozen=True)
@@ -421,15 +421,16 @@ def pdf_cdf_table(law, grid=None, method="auto"):
     wherever :func:`_partial_fractions` admits it; every other law routes
     through :func:`transient_profile` on the source chain, within
     UNIFORMIZATION_TOL of every entry.  ``method`` forces one route.  Unless
-    uniformization is forced, phases whose means sum_i 1/lambda_i miss the
-    stage mean by more than PHASE_MEAN_TOL raise InvariantError.
+    uniformization is forced, a real spectrum whose means sum_i 1/lambda_i
+    miss the stage mean by more than PHASE_MEAN_TOL raises InvariantError
+    (:func:`_checked_phases`).
 
     Raises
     ------
     DegenerateSpectrumError
         If partial_fractions is forced where the closed form is not admitted.
     InvariantError
-        If the phases miss the mean, or a uniformized row leaves its range.
+        If a real spectrum misses the mean, or a uniformized row leaves its range.
     RangeError
         If the grid is empty, not finite, unsorted or negative.
     """
@@ -439,12 +440,7 @@ def pdf_cdf_table(law, grid=None, method="auto"):
         raise ValueError(f"unknown method {method!r}")
     grid = _grid(default_grid(law) if grid is None else grid)  # a copy, kept as the support
 
-    rates = None if method == "uniformization" else phase_representation(law)
-    if rates is not None:
-        with np.errstate(divide="ignore", over="ignore"):
-            miss = abs(np.sum(1.0 / np.array(rates)) / moments(law)[0] - 1.0)
-        if not miss <= PHASE_MEAN_TOL:  # NaN fails too
-            raise InvariantError(f"the phases' mean sum(1/lambda_i) is off by {miss:.3e} relative")
+    rates = None if method == "uniformization" else _checked_phases(law)
     closed = _partial_fractions(rates, grid)
     if closed is not None:
         density, cdf = closed
@@ -506,6 +502,25 @@ def moments(law):
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise InvariantError(f"the stage moments overflow: mean {mean!r}, variance {variance!r}")
     return mean, variance
+
+
+def _checked_phases(law):
+    """:func:`phase_representation`, once a real spectrum has met the mean identity.
+
+    For every skip-free chain the mean is sum 1/lambda_i over the spectrum (discretely
+    sum 1/(1 - lambda_i)).  A real spectrum whose sum misses the mean of :func:`moments` by
+    more than PHASE_MEAN_TOL relative raises InvariantError: it is too far off to print or
+    to read as phases.  A complex spectrum is not checked.
+    """
+    spectrum = law.spectrum
+    if spectrum.classification is not SpectrumClass.COMPLEX:
+        lam = np.array([v.real for v in spectrum.values])
+        rates = lam if law.kind == "continuous" else 1.0 - lam
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            miss = abs(np.sum(1.0 / rates) / moments(law)[0] - 1.0)
+        if not miss <= PHASE_MEAN_TOL:  # NaN fails too
+            raise InvariantError(f"the phases' mean sum(1/lambda_i) is off by {miss:.3e} relative")
+    return phase_representation(law)
 
 
 def phase_representation(law):

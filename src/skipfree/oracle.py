@@ -7,7 +7,7 @@ uniformization of the generator, GTH elimination for the mean absorption
 times, and Monte Carlo simulation; the uniformization engine is the law's
 own fallback route, :func:`~skipfree.law.transient_profile`, and checks the
 partial fractions here.  :func:`report_from_errors` turns pointwise errors
-into pass/fail reports, and the KS statistics at the bottom compare samples.
+into pass/fail reports.
 
 Randomness contract, stream version 3: samplers draw from numpy's SFC64 bit
 generator seeded with ``SamplerConfig.seed``, consuming draws in wave order,
@@ -27,7 +27,6 @@ one a binary search of the cumulative jump probabilities gives (see
 :func:`_guide_table`).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .chains import DiscreteChain, is_integer, jump_totals, transient_block
 from .errors import InvariantError, RangeError, RunawayPathError
 from .law import MAX_PMF_TERMS, DistributionTable, pgf, transient_profile
 
-PATH_STEP_CAP = 10**9  # steps of one discrete path, so that its clock stays integral
+PATH_STEP_CAP = 2**53  # steps of one discrete path: the largest count its float clock holds exactly
 SAMPLE_JUMP_CAP = 10**9  # jumps of all paths in one run
 GUIDE_BUCKETS = 1024  # a power of two, so that u * GUIDE_BUCKETS is exact
 
@@ -241,7 +240,7 @@ def sample_hitting_times(chain, cfg):
 
     # live paths only, compacted after every wave: original index, row, clock.
     # A discrete clock sums the holds and gets the one jump per wave when its
-    # path finishes; its integers stay far below 2**53 up to the cap
+    # path finishes; its integers are exact up to the cap
     index = np.arange(cfg.paths)
     row = np.full(cfg.paths, cfg.start_state * GUIDE_BUCKETS, dtype=np.intp)
     clock = np.zeros(cfg.paths)
@@ -323,19 +322,3 @@ def geometric_sum_pmf(params, length):
         return value
 
     return _invert_on_circle(transform, length)
-
-
-def ks_two_sample(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def ks_critical_value(n, m):
-    """Large-sample two-sided KS rejection threshold at the 1% level."""
-    c = math.sqrt(-math.log(0.01 / 2.0) / 2.0)
-    return c * math.sqrt((n + m) / (n * m))

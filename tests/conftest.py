@@ -1,11 +1,18 @@
 import io
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from skipfree import ContinuousChain, DiscreteChain, DistributionTable
+from skipfree import (
+    ContinuousChain,
+    DiscreteChain,
+    DistributionTable,
+    SamplerConfig,
+    sample_hitting_times,
+)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CHAIN_DIR = REPO / "chains"
@@ -28,6 +35,37 @@ def prefix(chain, n):
     if isinstance(chain, DiscreteChain):
         return DiscreteChain(d=n, hold=chain.hold[:n], up=chain.up[:n], down=chain.down[:n])
     return ContinuousChain(d=n, up=chain.up[:n], down=chain.down[:n])
+
+
+def ks_two_sample(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def ks_critical_value(n, m):
+    """Large-sample two-sided KS rejection threshold at the 1% level."""
+    c = math.sqrt(-math.log(0.01 / 2.0) / 2.0)
+    return c * math.sqrt((n + m) / (n * m))
+
+
+def telescoping_statistic(chain, seed, paths):
+    """KS distance between the passage 0 -> d sampled directly and as its summed stages.
+
+    ``paths`` direct samples are drawn at ``seed``; stage i -> i+1 is the absorption from
+    state i of ``prefix(chain, i + 1)``, drawn at ``seed + 1 + i``.  The stages are
+    independent, so the two sample sets share one law.
+    """
+    direct = sample_hitting_times(chain, SamplerConfig(seed=seed, paths=paths))
+    staged = np.zeros(paths)
+    for i in range(chain.d):
+        cfg = SamplerConfig(seed=seed + 1 + i, paths=paths, start_state=i)
+        staged = staged + sample_hitting_times(prefix(chain, i + 1), cfg)
+    return ks_two_sample(direct, staged)
 
 
 def serialize_chain(chain):

@@ -26,8 +26,6 @@ from skipfree import (
     discrete_charpoly_seq,
     expected_hitting_times,
     geometric_sum_pmf,
-    ks_critical_value,
-    ks_two_sample,
     moments,
     pdf_cdf_table,
     pgf,
@@ -45,7 +43,13 @@ from skipfree.corpus import (
     random_discrete_chain,
 )
 from skipfree.oracle import report_from_errors
-from tests.conftest import CHAIN_DIR, GOLDEN_DIR, csv_rows, prefix
+from tests.conftest import (
+    CHAIN_DIR,
+    GOLDEN_DIR,
+    csv_rows,
+    ks_critical_value,
+    telescoping_statistic,
+)
 
 
 def _corpus(generator, n, d_range, seed, accept=lambda chain: True):
@@ -182,12 +186,7 @@ def test_criterion_6_monte_carlo(discrete_corpus, continuous_corpus):
         (random_discrete_chain(np.random.default_rng(77), 3), 500),
         (random_continuous_chain(np.random.default_rng(78), 3), 600),
     ):
-        direct = sample_hitting_times(chain, SamplerConfig(seed=base_seed, paths=paths))
-        staged = np.zeros(paths)
-        for i in range(chain.d):
-            cfg = SamplerConfig(seed=base_seed + 1 + i, paths=paths, start_state=i)
-            staged = staged + sample_hitting_times(prefix(chain, i + 1), cfg)
-        assert ks_two_sample(direct, staged) < ks_critical_value(paths, paths)
+        assert telescoping_statistic(chain, base_seed, paths) < ks_critical_value(paths, paths)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     print(f"\nPASS criterion 6: Monte Carlo means within 4 SE; telescoping KS at 1% ({elapsed:.1f}s)")

@@ -370,6 +370,24 @@ def test_phases_that_miss_the_mean_exit_2(tmp_path, d, seed):
                             r" is off by \S+ relative\n", proc.stderr), proc.stderr
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectrum_and_law_guard_the_phases_mean(tmp_path, capsys, seed):
+    # sum 1/lambda_i misses the stage mean by 8.6e-8, 0.88 and 1.0 on seeds 0-2, and both
+    # commands printed those spectra with exit 0
+    chain = random_birth_death_continuous(np.random.default_rng(seed), 512)
+    path = tmp_path / "birth_death_d512.json"
+    path.write_text(serialize_chain(chain))
+    for command in ("spectrum", "law"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, ""), command
+        assert re.fullmatch(r"error: numerical failure: the phases' mean sum\(1/lambda_i\)"
+                            r" is off by \S+ relative\n", err), err
+    for shipped in sorted(CHAIN_DIR.glob("*.json")):
+        for command in ("spectrum", "law"):
+            code, _, err = run_cli(capsys, command, shipped)
+            assert code == 0, (shipped.stem, command, err)
+
+
 def test_near_repeated_rates_take_the_uniformized_table(capsys):
     # rates 1e-4 apart: the weights sum to 1.3e12 in modulus, and the closed form's CDF
     # missed the exact one by up to 1.8e-4 on the default grid; auto now uniformizes

@@ -15,8 +15,6 @@ from skipfree import (
     build_law,
     cdf_by_uniformization,
     expected_hitting_times,
-    ks_critical_value,
-    ks_two_sample,
     moments,
     parse_chain,
     pmf_by_matrix_power,
@@ -43,7 +41,15 @@ from skipfree.verify import (
     _product_identity,
     verification_reports,
 )
-from tests.conftest import CHAIN_DIR, in_time_unit, pmf_by_path_enumeration, prefix
+from tests.conftest import (
+    CHAIN_DIR,
+    in_time_unit,
+    ks_critical_value,
+    ks_two_sample,
+    pmf_by_path_enumeration,
+    prefix,
+    telescoping_statistic,
+)
 
 
 def test_matrix_power_geometric(d1_geometric, rate2_single):
@@ -463,6 +469,15 @@ def test_sampler_row_sum_over_one_without_hold():
     assert abs(samples.mean() - mean) <= 4 * math.sqrt(samples.var() / samples.size)
 
 
+def test_step_cap_admits_a_mean_of_1e10_steps():
+    # one jump per path, but hold runs of about 1e10 steps: a cap of 10**9 steps stopped
+    # this valid chain, whose clock stays exact up to 2**53
+    chain = DiscreteChain(d=1, hold=[1 - 1e-10], up=[1e-10])
+    samples = sample_hitting_times(chain, SamplerConfig(seed=0, paths=10_000))
+    assert samples.dtype == np.int64
+    assert abs(samples.mean() - 1e10) <= 5 * samples.std() / math.sqrt(samples.size)
+
+
 def test_step_cap_counts_steps_not_waves(monkeypatch, d3_pure_birth):
     import skipfree.oracle as oracle
 
@@ -585,9 +600,4 @@ def test_stage_sampling_telescopes(seed, d):
     # summing independent stage passages i -> i+1 must reproduce tau_{0,d}
     chain = random_discrete_chain(np.random.default_rng(seed), d)
     paths = 2000
-    direct = sample_hitting_times(chain, SamplerConfig(seed=seed, paths=paths))
-    staged = np.zeros(paths)
-    for i in range(d):
-        cfg = SamplerConfig(seed=seed + 1 + i, paths=paths, start_state=i)
-        staged += sample_hitting_times(prefix(chain, i + 1), cfg)
-    assert ks_two_sample(direct, staged) < ks_critical_value(paths, paths)
+    assert telescoping_statistic(chain, seed, paths) < ks_critical_value(paths, paths)
