@@ -96,10 +96,11 @@ def _doc_spectrum(spectrum, fmt):
 
 def _doc_law(law, fmt):
     # each property is read once, in the document's order: law.denom costs O(d^3) a read
+    law_mod.check_phase_mean(law)  # so a spectrum that misses the mean fails before it
+    phases = law_mod.phase_representation(law)
+    phases = None if phases is None else list(phases)
     head = {"kind": law.kind, "d": law.d, "leading": law.leading}
     coeffs, spectrum = list(law.denom.coeffs), law.spectrum
-    phases = law_mod._checked_phases(law)
-    phases = None if phases is None else list(phases)
     cls = spectrum.classification.value
     value = {**head, "denom": coeffs,
              "spectrum": {"values": _values(spectrum), "classification": cls},
@@ -142,7 +143,7 @@ def run(args):
             value = {"valid": True, "type": chain.kind, "d": chain.d}
             document = _document(fmt, value, "field,value", value.items(), indent=None)
         elif cmd == "spectrum":
-            law_mod._checked_phases(law)  # a spectrum that misses the mean is not printed
+            law_mod.check_phase_mean(law)  # a spectrum that misses the mean is not printed
             document = _doc_spectrum(law.spectrum, fmt)
         elif cmd == "law":
             document = _doc_law(law, fmt)

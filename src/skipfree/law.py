@@ -54,7 +54,7 @@ DEFAULT_GRID_POINTS = 200
 MAX_PMF_TERMS = 1_000_000
 PMF_BLOCK = 256
 UNIFORMIZATION_TOL = 1e-10  # the largest error of a continuous table entry, by either route
-PHASE_MEAN_TOL = 1e-8  # |sum 1/lambda_i / E[tau] - 1| allowed before a real spectrum is read or printed
+PHASE_MEAN_TOL = 1e-8  # |sum 1/lambda_i / E[tau] - 1| allowed before a spectrum is read or printed
 
 
 @dataclass(frozen=True)
@@ -421,9 +421,8 @@ def pdf_cdf_table(law, grid=None, method="auto"):
     wherever :func:`_partial_fractions` admits it; every other law routes
     through :func:`transient_profile` on the source chain, within
     UNIFORMIZATION_TOL of every entry.  ``method`` forces one route.  Unless
-    uniformization is forced, a real spectrum whose means sum_i 1/lambda_i
-    miss the stage mean by more than PHASE_MEAN_TOL raises InvariantError
-    (:func:`_checked_phases`).
+    uniformization is forced, :func:`check_phase_mean` raises InvariantError
+    on a real spectrum whose means sum_i 1/lambda_i miss the stage mean.
 
     Raises
     ------
@@ -440,7 +439,9 @@ def pdf_cdf_table(law, grid=None, method="auto"):
         raise ValueError(f"unknown method {method!r}")
     grid = _grid(default_grid(law) if grid is None else grid)  # a copy, kept as the support
 
-    rates = None if method == "uniformization" else _checked_phases(law)
+    if method != "uniformization":
+        check_phase_mean(law)
+    rates = None if method == "uniformization" else phase_representation(law)
     closed = _partial_fractions(rates, grid)
     if closed is not None:
         density, cdf = closed
@@ -481,6 +482,14 @@ def moments(law):
     >>> moments(build_law(DiscreteChain(d=1, hold=[0.5], up=[0.5])))
     (2.0, 2.0)
     """
+    mean, variance = _passage_moments(law)
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise InvariantError(f"the stage moments overflow: mean {mean!r}, variance {variance!r}")
+    return mean, variance
+
+
+def _passage_moments(law):
+    """The recursion of :func:`moments` without its overflow check: (mean, variance)."""
     chain = law.source
     c = 1.0 if law.kind == "discrete" else 0.0
     means, variances = [], []  # entry j: the passage j -> n, its stage moments summed as a suffix
@@ -498,29 +507,24 @@ def moments(law):
         variances = [x + v for x in variances]
         means.append(m)
         variances.append(v)
-    mean, variance = means[0], variances[0]
-    if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise InvariantError(f"the stage moments overflow: mean {mean!r}, variance {variance!r}")
-    return mean, variance
+    return means[0], variances[0]
 
 
-def _checked_phases(law):
-    """:func:`phase_representation`, once a real spectrum has met the mean identity.
+def check_phase_mean(law):
+    """Raise InvariantError if a real continuous spectrum misses the mean sum 1/lambda_i.
 
-    For every skip-free chain the mean is sum 1/lambda_i over the spectrum (discretely
-    sum 1/(1 - lambda_i)).  A real spectrum whose sum misses the mean of :func:`moments` by
-    more than PHASE_MEAN_TOL relative raises InvariantError: it is too far off to print or
-    to read as phases.  A complex spectrum is not checked.
+    A miss past PHASE_MEAN_TOL relative (or a mean that overflows) is too far off to print
+    or to read as phases.  Complex spectra are not checked, nor discrete laws, whose
+    1 - lambda_i errs by eps / (1 - lambda_i) relative: past the tolerance at means past 1e8.
     """
     spectrum = law.spectrum
-    if spectrum.classification is not SpectrumClass.COMPLEX:
-        lam = np.array([v.real for v in spectrum.values])
-        rates = lam if law.kind == "continuous" else 1.0 - lam
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            miss = abs(np.sum(1.0 / rates) / moments(law)[0] - 1.0)
-        if not miss <= PHASE_MEAN_TOL:  # NaN fails too
-            raise InvariantError(f"the phases' mean sum(1/lambda_i) is off by {miss:.3e} relative")
-    return phase_representation(law)
+    if law.kind == "discrete" or spectrum.classification is SpectrumClass.COMPLEX:
+        return
+    lam = np.array([v.real for v in spectrum.values])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        miss = abs(np.sum(1.0 / lam) / _passage_moments(law)[0] - 1.0)
+    if not miss <= PHASE_MEAN_TOL:  # NaN fails too
+        raise InvariantError(f"the phases' mean sum(1/lambda_i) is off by {miss:.3e} relative")
 
 
 def phase_representation(law):

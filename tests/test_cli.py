@@ -14,6 +14,7 @@ from skipfree import cli, errors, oracle
 from skipfree import (
     ContinuousChain,
     DegenerateSpectrumError,
+    DiscreteChain,
     DistributionTable,
     InputError,
     NumericalError,
@@ -191,14 +192,18 @@ def test_law_past_the_double_range_exits_2(tmp_path, generator, message):
 
 
 def test_law_with_an_overflowing_denominator_exits_2(tmp_path, capsys):
-    # gamma_0 gamma_1 = 1e400 overflows the denominator, while the leading constant is 1e200
+    # gamma_0 gamma_1 = 1e400 overflows the denominator, while the leading constant is 1e200;
+    # the computed spectrum {2e200, -0} (true {2e200, 0.5}) misses the mean, and `law`
+    # refuses it before it reads the denominator
     chain = ContinuousChain(d=2, up=[1e200, 1.0], down=[[], [1e200]])
     assert build_law(chain).leading == 1e200
+    with pytest.raises(errors.InvariantError, match="a denominator coefficient overflows"):
+        build_law(chain).denom
     path = tmp_path / "wide_d2.json"
     path.write_text(serialize_chain(chain))
     code, out, err = run_cli(capsys, "law", path)
     assert (code, out) == (2, "")
-    assert err == "error: numerical failure: a denominator coefficient overflows a double\n"
+    assert err == "error: numerical failure: the phases' mean sum(1/lambda_i) is off by inf relative\n"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -382,10 +387,21 @@ def test_spectrum_and_law_guard_the_phases_mean(tmp_path, capsys, seed):
         assert (code, out) == (2, ""), command
         assert re.fullmatch(r"error: numerical failure: the phases' mean sum\(1/lambda_i\)"
                             r" is off by \S+ relative\n", err), err
-    for shipped in sorted(CHAIN_DIR.glob("*.json")):
+
+
+def test_spectrum_and_law_print_exact_spectra_of_slow_chains(tmp_path, capsys):
+    # exact spectra the mean guard must not refuse: discretely 1 - (1 - 1e-10) misses
+    # 1e-10 by 8.3e-8 relative, and the d = 1 variance 1e320 - 1e320 is nan
+    slow = {"discrete_mean_1e10": DiscreteChain(d=1, hold=[1 - 1e-10], up=[1e-10]),
+            "continuous_mean_1e160": ContinuousChain(d=1, up=[1e-160], down=[[]])}
+    paths = sorted(CHAIN_DIR.glob("*.json"))
+    for name, chain in slow.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(serialize_chain(chain))
+    for path in paths:
         for command in ("spectrum", "law"):
-            code, _, err = run_cli(capsys, command, shipped)
-            assert code == 0, (shipped.stem, command, err)
+            code, _, err = run_cli(capsys, command, path)
+            assert (code, err) == (0, ""), (path.stem, command, err)
 
 
 def test_near_repeated_rates_take_the_uniformized_table(capsys):
