@@ -378,11 +378,13 @@ def transient_profile(chain, t):
     occupancy = np.empty((grid.size, chain.d))
     v = np.zeros(chain.d)
     v[0] = 1.0
-    for row, gap in enumerate(gaps):
-        if gap:
-            v = v @ steps[gap]
-        occupancy[row] = v
-    mass = occupancy.sum(axis=1).max()
+    # a row made past the double range by rounding fails the mass check below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, gap in enumerate(gaps):
+            if gap:
+                v = v @ steps[gap]
+            occupancy[row] = v
+        mass = occupancy.sum(axis=1).max()
     if not mass <= 1.0 + UNIFORMIZATION_TOL:  # NaN fails too
         raise InvariantError(f"a uniformized occupancy has mass 1 + {mass - 1.0:.3e}")
     return occupancy if np.ndim(t) else occupancy[0]
@@ -399,12 +401,11 @@ def _partial_fractions(rates, grid):
     if rates is None or min(rates) <= 0.0:
         return None
     lam = np.array(rates)
-    w = np.empty_like(lam)
     # a repeated rate divides by zero, a running product may overflow: both fail the bound
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, x in enumerate(lam):
-            others = np.delete(lam, i)
-            w[i] = np.prod(others / (others - x))
+        ratio = lam / (lam - lam[:, None])  # row i: lambda_j / (lambda_j - lambda_i)
+        np.fill_diagonal(ratio, 1.0)
+        w = ratio.prod(axis=1)
         error = np.finfo(float).eps * np.abs(w).sum()
     if not error <= UNIFORMIZATION_TOL:  # NaN fails too
         return None
@@ -422,14 +423,15 @@ def pdf_cdf_table(law, grid=None, method="auto"):
     through :func:`transient_profile` on the source chain, within
     UNIFORMIZATION_TOL of every entry.  ``method`` forces one route.  Unless
     uniformization is forced, :func:`check_phase_mean` raises InvariantError
-    on a real spectrum whose means sum_i 1/lambda_i miss the stage mean.
+    on a spectrum, real or complex, whose Re sum_i 1/lambda_i misses the
+    stage mean.
 
     Raises
     ------
     DegenerateSpectrumError
         If partial_fractions is forced where the closed form is not admitted.
     InvariantError
-        If a real spectrum misses the mean, or a uniformized row leaves its range.
+        If the spectrum misses the mean, or a uniformized row leaves its range.
     RangeError
         If the grid is empty, not finite, unsorted or negative.
     """
@@ -510,19 +512,28 @@ def _passage_moments(law):
     return means[0], variances[0]
 
 
+def _phase_mean_miss(law):
+    """|Re sum 1/lambda_i / E[tau] - 1| of a continuous law: inf or NaN where a term overflows.
+
+    The transform factors over the transient block's eigenvalues, so Re sum 1/lambda_i is the
+    stage mean for every continuous spectrum, real or complex.
+    """
+    lam = np.asarray(law.spectrum.values)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return abs(np.sum((1.0 / lam).real) / _passage_moments(law)[0] - 1.0)
+
+
 def check_phase_mean(law):
-    """Raise InvariantError if a real continuous spectrum misses the mean sum 1/lambda_i.
+    """Raise InvariantError if a continuous spectrum misses the mean Re sum 1/lambda_i.
 
     A miss past PHASE_MEAN_TOL relative (or a mean that overflows) is too far off to print
-    or to read as phases.  Complex spectra are not checked, nor discrete laws, whose
-    1 - lambda_i errs by eps / (1 - lambda_i) relative: past the tolerance at means past 1e8.
+    or to read as phases, whether the spectrum is real or complex.  Discrete laws are not
+    checked: their 1 - lambda_i errs by eps / (1 - lambda_i) relative, past the tolerance at
+    means past 1e8.
     """
-    spectrum = law.spectrum
-    if law.kind == "discrete" or spectrum.classification is SpectrumClass.COMPLEX:
+    if law.kind == "discrete":
         return
-    lam = np.array([v.real for v in spectrum.values])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        miss = abs(np.sum(1.0 / lam) / _passage_moments(law)[0] - 1.0)
+    miss = _phase_mean_miss(law)
     if not miss <= PHASE_MEAN_TOL:  # NaN fails too
         raise InvariantError(f"the phases' mean sum(1/lambda_i) is off by {miss:.3e} relative")
 

@@ -5,9 +5,11 @@ route (prefix determinants by Hyman's method, O(d^3) for all prefixes at
 once, against the stage denominators; the eigenvalue product; the stage
 transform and the geometric phases inverted on the unit circle;
 uniformization; the first-step means by GTH elimination from the top state,
-where the stage means build up from state 0) and reduces the pointwise errors,
-relative for the determinants, the eigenvalue product and the mean, to a
-ComparisonReport, which the CLI's ``verify`` and the corpus scripts print.
+where the stage means build up from state 0; and, on a continuous chain, the
+stage mean against Re sum 1/lambda_i over its spectrum, real or complex) and
+reduces the pointwise errors, relative for the determinants, the eigenvalue
+product and the means, to a ComparisonReport, which the CLI's ``verify`` and
+the corpus scripts print.
 """
 
 import math
@@ -18,6 +20,7 @@ from .chains import DiscreteChain, is_integer, jump_totals, transient_block
 from .errors import RangeError
 from .law import (
     _partial_fractions,
+    _phase_mean_miss,
     _transform,
     build_law,
     default_grid,
@@ -116,7 +119,9 @@ def verification_reports(chain, seed=0):
     Returns an ordered list of (check name, ComparisonReport).  Checks that
     need a special spectrum are emitted only when it qualifies: geometric
     phases, and ``cdf_vs_uniformization`` exactly where the partial-fraction
-    closed form is admitted.  Raises RangeError unless ``seed`` is an
+    closed form is admitted.  ``mean_vs_spectrum``, the miss of
+    :func:`~skipfree.law.check_phase_mean`, is reported on every continuous
+    chain and on no discrete one.  Raises RangeError unless ``seed`` is an
     integer >= 0.
     """
     if not (is_integer(seed) and seed >= 0):
@@ -149,6 +154,8 @@ def verification_reports(chain, seed=0):
         at_zero = abs(laplace(law, 0.0) - 1.0)
         reports.append(("laplace_at_zero", report_from_errors([at_zero], 1e-10)))
         reports.append(("eigen_product_identity", _product_identity(lam, chain)))
+        miss = _phase_mean_miss(law)
+        reports.append(("mean_vs_spectrum", report_from_errors([miss], MEAN_THRESHOLD)))
         grid = default_grid(law, 50)
         closed = _partial_fractions(phase_representation(law), grid)
         if closed is not None:

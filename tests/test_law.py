@@ -428,6 +428,31 @@ def test_near_repeated_rates_past_the_double_range_uniformize():
     assert auto.tail_bound == uniformized.tail_bound
 
 
+def test_partial_fraction_weights_are_the_product_formula_bit_for_bit():
+    # the weights w_i = prod_{j != i} lambda_j / (lambda_j - lambda_i), multiplied in index
+    # order, give both columns of every admitted closed form exactly
+    shipped = (parse_chain(p.read_text()) for p in sorted(CHAIN_DIR.glob("*.json")))
+    chains = [chain for chain in shipped if chain.kind == "continuous"]
+    chains += [random_birth_death_continuous(np.random.default_rng(seed), d)
+               for seed, d in ((0, 12), (1, 12), (0, 64))]
+    admitted = 0
+    for chain in chains:
+        law = build_law(chain)
+        lam = phase_representation(law)
+        grid = default_grid(law, 9)
+        closed = law_module._partial_fractions(lam, grid)
+        if closed is None:
+            continue
+        admitted += 1
+        density, cdf = closed
+        w = np.array([math.prod(x / (x - y) for j, x in enumerate(lam) if j != i)
+                      for i, y in enumerate(lam)])
+        decay = np.exp(-np.outer(grid, lam))
+        assert np.array_equal(density, decay @ (w * np.array(lam)))
+        assert np.array_equal(cdf, (1.0 - decay) @ w)
+    assert admitted >= 6, admitted
+
+
 def test_default_grid_points_stop_at_the_table_row_cap(rates12_pure_birth):
     law = build_law(rates12_pure_birth)
     assert default_grid(law, MAX_PMF_TERMS, 1.0).size == MAX_PMF_TERMS

@@ -261,6 +261,19 @@ def test_determinant_check_fails_on_a_broken_stage_without_warning(factor, monke
         assert failed == ["charpoly_vs_determinant"], name
 
 
+def test_mean_vs_spectrum_is_reported_on_continuous_chains_only():
+    for name, chain in _SHIPPED.items():
+        checks = [check for check, _ in verification_reports(chain)]
+        if chain.kind == "continuous":
+            assert checks[checks.index("eigen_product_identity") + 1] == "mean_vs_spectrum", name
+        else:
+            assert "mean_vs_spectrum" not in checks, name
+    # a complex spectrum whose Re sum 1/lambda_i misses the stage mean by 0.30
+    reports = dict(verification_reports(random_continuous_chain(np.random.default_rng(1), 24)))
+    report = reports["mean_vs_spectrum"]
+    assert not report.passed and report.max_abs_err == pytest.approx(0.30, abs=0.01)
+
+
 def test_verify_seed_must_be_a_nonnegative_integer(d2_mixed):
     for seed in (1.5, True, -1):
         with pytest.raises(RangeError, match="seed must be >= 0 and an integer"):
@@ -285,6 +298,14 @@ def test_uniformization_mass_past_one_raises():
     mean, _ = moments(build_law(chain))
     with pytest.raises(InvariantError, match="occupancy has mass 1 "):
         cdf_by_uniformization(chain, np.array([0.5, 1.0, 2.0]) * mean)
+
+
+def test_uniformized_rows_past_the_double_range_raise_without_warning(monkeypatch):
+    # step matrices of 1e300 make the second row 3e600, which overflows in the product
+    chain = ContinuousChain(d=3, up=[1.0, 1.0, 1.0], down=[[], [0.5], [0.0, 0.5]])
+    monkeypatch.setattr(law_module, "_step_matrix", lambda *args: np.full((3, 3), 1e300))
+    with pytest.raises(InvariantError, match=r"occupancy has mass 1 \+ inf"):
+        transient_profile(chain, [1.0, 2.0, 3.0])
 
 
 def test_uniformization_rejects_bad_times(rate2_single):
