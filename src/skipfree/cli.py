@@ -217,8 +217,8 @@ def build_parser():
         p.add_argument("--out", help="write the document to a file instead of stdout")
         if name in _LAW_COMMANDS:
             p.add_argument("--tol", type=float, default=DEFAULT_REAL_TOL,
-                           help="realness tolerance for spectrum classification, applied "
-                                "to v/|v| for a continuous chain")
+                           help="realness tolerance (on v/|v| for a continuous chain): it "
+                                "labels and snaps the spectrum, and picks no route")
         if name in _TABLE_COMMANDS:
             p.add_argument("--eps", type=float, default=law_mod.DEFAULT_PMF_EPS,
                            help="PMF tables extend until cumulative >= 1-eps")

@@ -60,7 +60,7 @@ class TailError(NumericalError):
 
 
 class DegenerateSpectrumError(NumericalError):
-    """Partial fractions forced on no positive phases or on eps sum|w_i| > UNIFORMIZATION_TOL."""
+    """Partial fractions forced on a real part <= 0 or on eps sum|w_i| > UNIFORMIZATION_TOL."""
 
 
 class RunawayPathError(NumericalError):

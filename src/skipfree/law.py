@@ -17,9 +17,9 @@ continuous chain's transforms and moments do not depend on its time unit.
 The discrete PMF is vector iteration on the transient block in blocks of
 PMF_BLOCK powers, the masses of a batch of 1, 2, 4, ... blocks taken in one
 product, with the exact mass left in the transient states as its tail
-bound.  A continuous table takes partial fractions over the phases where
-their weights' rounding, eps sum |w_i|, stays within UNIFORMIZATION_TOL,
-else the chain's occupancy by uniformization (Jensen 1953,
+bound.  A continuous table takes partial fractions over the spectrum, real
+or complex, where its weights' rounding, eps sum |w_i|, stays within
+UNIFORMIZATION_TOL, else the chain's occupancy by uniformization (Jensen 1953,
 :func:`transient_profile`), kept here so that no oracle is imported; one
 rule, :func:`_grid`, validates every continuous grid.  The monomial
 denominator is computed only on request (:attr:`HittingLaw.denom`), for the
@@ -291,14 +291,17 @@ def pmf_table(law, eps=DEFAULT_PMF_EPS):
 def default_grid(law, points=DEFAULT_GRID_POINTS, grid_max=None):
     """Evaluation grid for continuous tables: ``points`` values on [0, grid_max].
 
-    ``grid_max`` defaults to five times the mean absorption time.  Raises
-    RangeError if ``points`` is not an integer in 1..MAX_PMF_TERMS, the row
-    cap of the discrete tables, or ``grid_max`` is not finite.
+    ``grid_max`` defaults to five times the mean absorption time, read from
+    the stage means alone; InvariantError if that passes the largest double.
+    Raises RangeError if ``points`` is not an integer in 1..MAX_PMF_TERMS,
+    the row cap of the discrete tables, or a given ``grid_max`` is not finite.
     """
     if not (is_integer(points) and 1 <= points <= MAX_PMF_TERMS):
         raise RangeError(f"grid points must be >= 1 and at most {MAX_PMF_TERMS}, got {points}")
     if grid_max is None:
-        grid_max = 5.0 * moments(law)[0]
+        grid_max = 5.0 * _passage_moments(law)[0]
+        if not math.isfinite(grid_max):
+            raise InvariantError("5 x the mean absorption time passes the largest double")
     if not math.isfinite(grid_max):
         raise RangeError(f"grid_max must be finite, got {grid_max}")
     return np.linspace(0.0, grid_max, points)
@@ -390,18 +393,21 @@ def transient_profile(chain, t):
     return occupancy if np.ndim(t) else occupancy[0]
 
 
-def _partial_fractions(rates, grid):
-    """(density, cdf) on ``grid`` by the hypoexponential closed form, or None where not admitted.
+def _partial_fractions(values, grid):
+    """(density, cdf) on ``grid`` by the spectrum's closed form, or None where not admitted.
 
-    The weights w_i = prod_{j!=i} lambda_j / (lambda_j - lambda_i) give the density
-    sum_i w_i lambda_i exp(-lambda_i t) and the CDF 1 - sum_i w_i exp(-lambda_i t), whose
-    rounding is of order eps sum_i |w_i|.  The form is admitted on positive ``rates`` (the
-    phases) when that is within UNIFORMIZATION_TOL, the uniformized route's promise.
+    The transform factors over the eigenvalues ``values``, so the weights w_i = prod_{j!=i}
+    lambda_j / (lambda_j - lambda_i) give the density Re sum_i w_i lambda_i exp(-lambda_i t)
+    and the CDF 1 - Re sum_i w_i exp(-lambda_i t) of any distinct spectrum, real or complex,
+    with rounding of order eps sum_i |w_i|.  The form is admitted where every Re lambda_i > 0
+    and that is within UNIFORMIZATION_TOL, the uniformized route's promise.  A spectrum with
+    no nonzero imaginary part is taken as real, and computed in real arithmetic.
     """
-    if rates is None or min(rates) <= 0.0:
+    lam = np.asarray(values)
+    if not (lam.real > 0.0).all():
         return None
-    lam = np.array(rates)
-    # a repeated rate divides by zero, a running product may overflow: both fail the bound
+    lam = lam if lam.imag.any() else lam.real
+    # a repeated value divides by zero, a running product may overflow: both fail the bound
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratio = lam / (lam - lam[:, None])  # row i: lambda_j / (lambda_j - lambda_i)
         np.fill_diagonal(ratio, 1.0)
@@ -412,26 +418,27 @@ def _partial_fractions(rates, grid):
     # t lambda overflows to inf only where exp(-t lambda) is 0 anyway
     with np.errstate(over="ignore"):
         decay = np.exp(-np.outer(grid, lam))
-    return decay @ (w * lam), (1.0 - decay) @ w
+    return (decay @ (w * lam)).real, ((1.0 - decay) @ w).real
 
 
 def pdf_cdf_table(law, grid=None, method="auto"):
     """Density and CDF of a continuous law on a grid.
 
-    The hypoexponential partial-fraction closed form over the phases is used
-    wherever :func:`_partial_fractions` admits it; every other law routes
+    The partial-fraction closed form over the spectrum, real or complex, is
+    used wherever :func:`_partial_fractions` admits it; every other law routes
     through :func:`transient_profile` on the source chain, within
-    UNIFORMIZATION_TOL of every entry.  ``method`` forces one route.  Unless
-    uniformization is forced, :func:`check_phase_mean` raises InvariantError
-    on a spectrum, real or complex, whose Re sum_i 1/lambda_i misses the
-    stage mean.
+    UNIFORMIZATION_TOL of every entry.  The spectrum's classification picks
+    no route.  ``method`` forces one route.  Unless uniformization is forced,
+    :func:`check_phase_mean` raises InvariantError on a spectrum whose
+    Re sum_i 1/lambda_i misses the stage mean.
 
     Raises
     ------
     DegenerateSpectrumError
         If partial_fractions is forced where the closed form is not admitted.
     InvariantError
-        If the spectrum misses the mean, or a uniformized row leaves its range.
+        If the spectrum misses the mean, 5 x the mean passes the largest double
+        (default grid), or a uniformized row leaves its range.
     RangeError
         If the grid is empty, not finite, unsorted or negative.
     """
@@ -443,14 +450,13 @@ def pdf_cdf_table(law, grid=None, method="auto"):
 
     if method != "uniformization":
         check_phase_mean(law)
-    rates = None if method == "uniformization" else phase_representation(law)
-    closed = _partial_fractions(rates, grid)
+    closed = None if method == "uniformization" else _partial_fractions(law.spectrum.values, grid)
     if closed is not None:
         density, cdf = closed
     elif method == "partial_fractions":
         raise DegenerateSpectrumError(
-            "partial fractions need positive phases with eps sum|w_i| within "
-            f"{UNIFORMIZATION_TOL} (classification {law.spectrum.classification.value})"
+            "partial fractions need a spectrum with positive real parts and eps sum|w_i| "
+            f"within {UNIFORMIZATION_TOL}"
         )
     else:
         chain = law.source
@@ -547,7 +553,7 @@ def phase_representation(law):
     continuous one, whenever the classification is RealNonnegative (and,
     discretely, every eigenvalue is below 1); the absorption time is then
     the sum of those independent phases.  Returns None otherwise;
-    ``law.spectrum.classification`` says why.
+    ``law.spectrum.classification`` says why.  Output only: no table or check reads it.
     """
     spectrum = law.spectrum
     if spectrum.classification is not SpectrumClass.REAL_NONNEGATIVE:

@@ -2,7 +2,7 @@
 
 Everything here reaches the absorption law through a route disjoint from the
 charpoly/spectral pipeline: dense vector-matrix iteration, inversion of the
-stage transform and of the geometric phases' product on the unit circle,
+stage transform and of a real or complex geometric product on the unit circle,
 uniformization of the generator, GTH elimination for the mean absorption
 times, and Monte Carlo simulation; the uniformization engine is the law's
 own fallback route, :func:`~skipfree.law.transient_profile`, and checks the
@@ -307,12 +307,12 @@ def expected_hitting_times(chain):
 
 
 def geometric_sum_pmf(params, length):
-    """PMF of a sum of independent geometric variables, by inversion on the unit circle.
+    """Masses of prod_i theta_i z / ((1 - z) + theta_i z), by inversion on the unit circle.
 
-    ``params`` are success probabilities theta_i in (0, 1]; each component has
-    mass theta (1-theta)^{n-1} on n >= 1 and PGF theta z / ((1 - z) + theta z),
-    so theta = 1 is a unit point mass.  Returns masses for n = 1..length,
-    aliased as :func:`_invert_on_circle` says.
+    For theta_i in (0, 1] it is the PMF of a sum of independent geometric variables,
+    theta = 1 a unit point mass.  theta_i = 1 - lambda_i over a discrete spectrum, real
+    or complex, gives the chain's PGF prod_i (1 - lambda_i) z / (1 - lambda_i z).
+    Returns masses for n = 1..length, aliased as :func:`_invert_on_circle` says.
     """
 
     def transform(z):

@@ -3,7 +3,7 @@
 Each check pairs an output of the spectral/law pipeline with an independent
 route (prefix determinants by Hyman's method, O(d^3) for all prefixes at
 once, against the stage denominators; the eigenvalue product; the stage
-transform and the geometric phases inverted on the unit circle;
+transform and the spectrum's geometric product inverted on the unit circle;
 uniformization; the first-step means by GTH elimination from the top state,
 where the stage means build up from state 0; and, on a continuous chain, the
 stage mean against Re sum 1/lambda_i over its spectrum, real or complex) and
@@ -20,15 +20,14 @@ from .chains import DiscreteChain, is_integer, jump_totals, transient_block
 from .errors import RangeError
 from .law import (
     _partial_fractions,
+    _passage_moments,
     _phase_mean_miss,
     _transform,
     build_law,
     default_grid,
     laplace,
     pgf,
-    phase_representation,
     pmf_table,
-    moments,
 )
 from .oracle import (
     cdf_by_uniformization,
@@ -116,13 +115,13 @@ def _product_identity(factors, chain):
 def verification_reports(chain, seed=0):
     """All oracle cross-checks for one chain.
 
-    Returns an ordered list of (check name, ComparisonReport).  Checks that
-    need a special spectrum are emitted only when it qualifies: geometric
-    phases, and ``cdf_vs_uniformization`` exactly where the partial-fraction
-    closed form is admitted.  ``mean_vs_spectrum``, the miss of
-    :func:`~skipfree.law.check_phase_mean`, is reported on every continuous
-    chain and on no discrete one.  Raises RangeError unless ``seed`` is an
-    integer >= 0.
+    Returns an ordered list of (check name, ComparisonReport).  No check
+    reads the spectrum's classification.  ``pmf_vs_geometric_convolution``
+    inverts prod_i (1 - lambda_i) z / (1 - lambda_i z) on every discrete
+    chain; ``cdf_vs_uniformization`` is emitted exactly where the
+    partial-fraction closed form is admitted, and ``mean_vs_spectrum``, the
+    miss of :func:`~skipfree.law.check_phase_mean`, on every continuous
+    chain.  Raises RangeError unless ``seed`` is an integer >= 0.
     """
     if not (is_integer(seed) and seed >= 0):
         raise RangeError(f"seed must be >= 0 and an integer, got {seed!r}")
@@ -143,13 +142,9 @@ def verification_reports(chain, seed=0):
         inverted = pmf_by_transform_inversion(law, len(table.support))
         errs = np.asarray(table.mass_or_density) - inverted
         reports.append(("pmf_vs_matrix_power", report_from_errors(errs, PMF_THRESHOLD)))
-        phases = phase_representation(law)
-        if phases is not None:
-            convolved = geometric_sum_pmf(phases, len(table.support))
-            errs = np.asarray(table.mass_or_density) - convolved
-            reports.append(
-                ("pmf_vs_geometric_convolution", report_from_errors(errs, PMF_THRESHOLD))
-            )
+        convolved = geometric_sum_pmf(1.0 - lam[:, 0], len(table.support))
+        errs = np.asarray(table.mass_or_density) - convolved
+        reports.append(("pmf_vs_geometric_convolution", report_from_errors(errs, PMF_THRESHOLD)))
     else:
         at_zero = abs(laplace(law, 0.0) - 1.0)
         reports.append(("laplace_at_zero", report_from_errors([at_zero], 1e-10)))
@@ -157,14 +152,12 @@ def verification_reports(chain, seed=0):
         miss = _phase_mean_miss(law)
         reports.append(("mean_vs_spectrum", report_from_errors([miss], MEAN_THRESHOLD)))
         grid = default_grid(law, 50)
-        closed = _partial_fractions(phase_representation(law), grid)
+        closed = _partial_fractions(law.spectrum.values, grid)
         if closed is not None:
             errs = closed[1] - cdf_by_uniformization(chain, grid)
-            reports.append(
-                ("cdf_vs_uniformization", report_from_errors(errs, CDF_THRESHOLD))
-            )
+            reports.append(("cdf_vs_uniformization", report_from_errors(errs, CDF_THRESHOLD)))
 
-    mean, _ = moments(law)
+    mean = _passage_moments(law)[0]
     h = expected_hitting_times(chain)
     rel = abs(mean - h[0]) / abs(h[0])
     reports.append(("mean_vs_linear_system", report_from_errors([rel], MEAN_THRESHOLD)))

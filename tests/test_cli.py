@@ -151,6 +151,8 @@ def test_verify_examples_exit_0(capsys):
     for report in json.loads(out):
         assert list(report)[-1] == "margin"
         assert report["margin"] == report["max_abs_err"] / report["threshold"] < 1.0
+    # a RealMixedSign spectrum, whose geometric product is inverted all the same
+    assert "pmf_vs_geometric_convolution" in [report["check"] for report in json.loads(out)]
 
 
 def _cli_subprocess(*argv):
@@ -398,7 +400,8 @@ def test_spectrum_and_law_guard_the_phases_mean(tmp_path, capsys, seed):
 def test_spectrum_and_law_print_exact_spectra_of_slow_chains(tmp_path, capsys):
     # exact spectra the mean guard must not refuse: discretely 1 - (1 - 1e-10) misses
     # 1e-10 by 8.3e-8 relative, and the d = 1 variance 1e320 - 1e320 is nan; nor the
-    # tables of a complex spectrum far from unit rates, or of a shipped chain
+    # tables of a complex spectrum far from unit rates, or of a shipped chain; the default
+    # grid and verify read the mean alone, so the variance's overflow stops neither
     slow = {"discrete_mean_1e10": DiscreteChain(d=1, hold=[1 - 1e-10], up=[1e-10]),
             "continuous_mean_1e160": ContinuousChain(d=1, up=[1e-160], down=[[]]),
             "pair_times_2e-40": _HOSTILE["pair_times_2e-40"]()}
@@ -408,13 +411,23 @@ def test_spectrum_and_law_print_exact_spectra_of_slow_chains(tmp_path, capsys):
         paths[-1].write_text(serialize_chain(chain))
     for path in paths:
         commands = ["spectrum", "law"]
-        # the default grid of mean 1e160 reads the variance too, which is nan
-        tables = path.stem != "continuous_mean_1e160"
-        if tables and parse_chain(path.read_text()).kind == "continuous":
+        if parse_chain(path.read_text()).kind == "continuous":
             commands += ["pdf", "cdf"]
+        if path.stem == "continuous_mean_1e160":
+            commands += ["verify"]
         for command in commands:
             code, _, err = run_cli(capsys, command, path)
             assert (code, err) == (0, ""), (path.stem, command, err)
+
+
+@pytest.mark.parametrize("command", ["pdf", "cdf"])
+def test_default_grid_past_the_double_range_exits_2(tmp_path, capsys, command):
+    # 5 x the mean 1e308 passes the largest double: a numerical failure of a valid chain
+    path = tmp_path / "continuous_mean_1e308.json"
+    path.write_text(serialize_chain(ContinuousChain(d=1, up=[1e-308], down=[[]])))
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert "5 x the mean absorption time passes the largest double" in err
 
 
 def test_near_repeated_rates_take_the_uniformized_table(capsys):
@@ -433,7 +446,8 @@ def test_near_repeated_rates_take_the_uniformized_table(capsys):
     assert np.max(np.abs(uniformized.cumulative - exact)) <= 1e-10
     code, out, err = run_cli(capsys, "cdf", path, "--method", "partial_fractions")
     assert code == 2 and out == ""
-    assert err.startswith("error: numerical failure: partial fractions need positive phases")
+    assert err.startswith(
+        "error: numerical failure: partial fractions need a spectrum with positive real parts")
     code, out, _ = run_cli(capsys, "verify", path)
     assert code == 0 and "cdf_vs_uniformization" not in out
 

@@ -374,6 +374,25 @@ def test_pdf_cdf_erlang_routes_to_uniformization(rates11_erlang):
         pdf_cdf_table(law, [1.0], method="partial_fractions")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_complex_spectra_take_the_closed_form(seed):
+    # general continuous d = 8 has a complex spectrum whose residue weights admit the closed
+    # form: auto takes it, and verify checks it against uniformization
+    from scipy.linalg import expm
+
+    chain = random_continuous_chain(np.random.default_rng(seed), 8)
+    law = build_law(chain)
+    assert law.spectrum.classification is SpectrumClass.COMPLEX
+    auto, forced = (pdf_cdf_table(law, method=m) for m in ("auto", "partial_fractions"))
+    for field in ("support", "mass_or_density", "cumulative"):
+        assert np.array_equal(getattr(auto, field), getattr(forced, field))
+    block = transient_block(chain, chain.d - 1)
+    occupancy = np.array([expm(block * t)[0] for t in auto.support])
+    assert np.abs(auto.cumulative - (1.0 - occupancy.sum(axis=1))).max() <= 1e-10
+    assert np.abs(auto.mass_or_density - chain.up[-1] * occupancy[:, -1]).max() <= 1e-10
+    assert dict(verification_reports(chain))["cdf_vs_uniformization"].passed
+
+
 def test_table_fields_are_read_only_arrays(d2_mixed, rates12_pure_birth):
     grid = np.array([0.0, 0.5, 1.0])
     law = build_law(rates12_pure_birth)

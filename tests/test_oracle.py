@@ -169,6 +169,11 @@ def test_uniformization_at_long_times(rate2_single):
                      "pmf_vs_geometric_convolution", id="discrete-128"),
         pytest.param(random_birth_death_discrete, 256, (0, 1, 2),
                      "pmf_vs_geometric_convolution", id="discrete-256"),
+        # complex and mixed-sign spectra: no check reads the classification
+        pytest.param(random_continuous_chain, 8, (0, 1, 2), "cdf_vs_uniformization",
+                     id="general-8"),
+        *(pytest.param(random_discrete_chain, d, (0, 1, 2), "pmf_vs_geometric_convolution",
+                       id=f"general-discrete-{d}") for d in (4, 5, 6)),
     ],
 )
 def test_verify_passes_on_large_birth_death_continuous(family, d, seeds, oracle_check):
